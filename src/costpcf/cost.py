@@ -153,10 +153,6 @@ class CostModel:
             return a is b
         return self.monoid.eq(a, b)
 
-    def restrict(self, c):
-        """Re-observe a cost at the Extensional phase: always the sealed point."""
-        return STAR
-
     def show(self, c) -> str:
         if self.extensional or c is STAR:
             return "*"
@@ -179,11 +175,3 @@ class CostModel:
 
 DEFAULT_MODEL = CostModel()
 
-
-def add(model: CostModel, a, b):
-    """Monoid addition lifted through the seal (phase from the model)."""
-    return model.add(a, b)
-
-
-def restrict(model: CostModel, c):
-    return model.restrict(c)

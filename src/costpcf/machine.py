@@ -13,9 +13,13 @@ plus congruence in the head of `bind` and the function position of `ap`
 (ifz scrutinees and ap arguments are values by typing, so nowhere else).
 Terminal states are exactly `ret(v)` and `lam(e)`.
 
-`out` exposes single transitions; eval/trace run on a persistent frame stack
-so that long bind/ap spines cost O(1) per step instead of O(depth).  One fuel
-unit is one fired head rule, which is exactly one `out` transition.
+`out` exposes single transitions; eval/trace run on a persistent frame stack,
+so finding the next redex under a long bind/ap spine costs O(1) per step
+instead of O(depth).  The substitution a head rule performs is not O(1): it
+rebuilds only the subterms that mention the bound index and shares the rest,
+and the replacement, always closed here, is shared rather than copied (see
+`syntax.subst`).  One fuel unit is one fired head rule, which is exactly one
+`out` transition.
 """
 
 from __future__ import annotations

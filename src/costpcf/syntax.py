@@ -67,73 +67,84 @@ UNIT = Unit()
 Cost = Union[int, tuple]
 
 
+class _Node:
+    """Base of the term nodes: the class-level default of the loose-range cache.
+
+    `_range` is a plain class attribute, not a dataclass field, so equality,
+    hashing and repr never see it; `loose_range` sets a node's own value as
+    an instance attribute the first time it is asked for.
+    """
+
+    _range = None
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int
 
 
 @dataclass(frozen=True)
-class Yes:
-    pass
+class Yes(_Node):
+    _range = 0
 
 
 @dataclass(frozen=True)
-class No:
-    pass
+class No(_Node):
+    _range = 0
 
 
 @dataclass(frozen=True)
-class Zero:
-    pass
+class Zero(_Node):
+    _range = 0
 
 
 @dataclass(frozen=True)
-class Succ:
+class Succ(_Node):
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class Triv:
-    pass
+class Triv(_Node):
+    _range = 0
 
 
 @dataclass(frozen=True)
-class Ret:
+class Ret(_Node):
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class Step:
+class Step(_Node):
     cost: Cost
     body: "Term"
 
 
 @dataclass(frozen=True)
-class Bind:
+class Bind(_Node):
     head: "Term"
     cont: "Term"  # binds 1
 
 
 @dataclass(frozen=True)
-class Ifz:
+class Ifz(_Node):
     scrut: "Term"
     zcase: "Term"
     scase: "Term"  # binds 1 (the predecessor)
 
 
 @dataclass(frozen=True)
-class Fix:
+class Fix(_Node):
     body: "Term"  # binds 1 (the recursive thunk)
 
 
 @dataclass(frozen=True)
-class Lam:
+class Lam(_Node):
     dom: ValueType
     body: "Term"  # binds 1
 
 
 @dataclass(frozen=True)
-class Ap:
+class Ap(_Node):
     fun: "Term"
     arg: "Term"
 
@@ -167,43 +178,67 @@ def as_numeral(t: Term):
 
 
 # ---------------------------------------------------------------------------
-# Binding: shift and substitution
+# Binding: loose range, shift and substitution
+
+def loose_range(t: Term) -> int:
+    """1 + the largest free de Bruijn index of `t`, or 0 when `t` is closed.
+
+    Computed once per node, on first request, and cached outside the
+    dataclass fields (see `_Node`).  Nodes are immutable, so the cached value
+    never goes stale.
+    """
+    r = getattr(t, "_range", None)
+    if r is not None:
+        return r
+    if isinstance(t, Var):
+        r = t.index + 1
+    elif isinstance(t, (Succ, Ret)):
+        r = loose_range(t.arg)
+    elif isinstance(t, Step):
+        r = loose_range(t.body)
+    elif isinstance(t, Bind):
+        r = max(loose_range(t.head), loose_range(t.cont) - 1)
+    elif isinstance(t, Ifz):
+        r = max(loose_range(t.scrut), loose_range(t.zcase), loose_range(t.scase) - 1)
+    elif isinstance(t, (Fix, Lam)):
+        r = max(loose_range(t.body) - 1, 0)
+    elif isinstance(t, Ap):
+        r = max(loose_range(t.fun), loose_range(t.arg))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    # Not `t.__dict__[...]`: touching `__dict__` would give every node a
+    # dictionary of its own, nearly doubling its memory.
+    object.__setattr__(t, "_range", r)
+    return r
+
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add `by` to every free index >= cutoff."""
-    if isinstance(t, Var):
-        return Var(t.index + by) if t.index >= cutoff else t
-    if isinstance(t, (Yes, No, Zero, Triv)):
+    """Add `by` to every free index >= cutoff.
+
+    Returns `t` itself when it has no such index (`loose_range(t) <= cutoff`).
+    Otherwise only the nodes above an index >= cutoff are rebuilt; every
+    other subtree of the result is shared with `t`.
+    """
+    if loose_range(t) <= cutoff:
         return t
+    if isinstance(t, Var):
+        return Var(t.index + by)
     if isinstance(t, Succ):
-        a = shift(t.arg, by, cutoff)
-        return t if a is t.arg else Succ(a)
+        return Succ(shift(t.arg, by, cutoff))
     if isinstance(t, Ret):
-        a = shift(t.arg, by, cutoff)
-        return t if a is t.arg else Ret(a)
+        return Ret(shift(t.arg, by, cutoff))
     if isinstance(t, Step):
-        b = shift(t.body, by, cutoff)
-        return t if b is t.body else Step(t.cost, b)
+        return Step(t.cost, shift(t.body, by, cutoff))
     if isinstance(t, Bind):
-        h = shift(t.head, by, cutoff)
-        c = shift(t.cont, by, cutoff + 1)
-        return t if (h is t.head and c is t.cont) else Bind(h, c)
+        return Bind(shift(t.head, by, cutoff), shift(t.cont, by, cutoff + 1))
     if isinstance(t, Ifz):
-        s = shift(t.scrut, by, cutoff)
-        z = shift(t.zcase, by, cutoff)
-        sc = shift(t.scase, by, cutoff + 1)
-        return t if (s is t.scrut and z is t.zcase and sc is t.scase) else Ifz(s, z, sc)
+        return Ifz(shift(t.scrut, by, cutoff), shift(t.zcase, by, cutoff),
+                   shift(t.scase, by, cutoff + 1))
     if isinstance(t, Fix):
-        b = shift(t.body, by, cutoff + 1)
-        return t if b is t.body else Fix(b)
+        return Fix(shift(t.body, by, cutoff + 1))
     if isinstance(t, Lam):
-        b = shift(t.body, by, cutoff + 1)
-        return t if b is t.body else Lam(t.dom, b)
-    if isinstance(t, Ap):
-        f = shift(t.fun, by, cutoff)
-        a = shift(t.arg, by, cutoff)
-        return t if (f is t.fun and a is t.arg) else Ap(f, a)
-    raise TypeError(f"not a term: {t!r}")
+        return Lam(t.dom, shift(t.body, by, cutoff + 1))
+    return Ap(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
 
 
 def subst(t: Term, replacement: Term, index: int = 0) -> Term:
@@ -213,44 +248,38 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
     binder; free indices of `t` above `index` shift down by one.  The shift
     applied at a hit is the number of binders crossed since the top-level
     call, not the current index (those differ whenever index > 0).
+
+    A subterm with no free index >= the current index (`loose_range` at most
+    that index) is returned as is, so `subst(t, r, k) is t` when `t` has no
+    free index >= k, and the result shares every subtree that does not
+    mention the eliminated index or one above it.  A closed replacement is
+    returned by `shift` as is, so it is never walked and every hit shares it.
     """
     def go(t: Term, index: int, depth: int) -> Term:
-        if isinstance(t, Var):
-            if t.index == index:
-                return shift(replacement, depth) if depth else replacement
-            return Var(t.index - 1) if t.index > index else t
-        if isinstance(t, (Yes, No, Zero, Triv)):
+        if loose_range(t) <= index:
             return t
+        if isinstance(t, Var):
+            return shift(replacement, depth) if t.index == index else Var(t.index - 1)
         if isinstance(t, Succ):
-            a = go(t.arg, index, depth)
-            return t if a is t.arg else Succ(a)
+            return Succ(go(t.arg, index, depth))
         if isinstance(t, Ret):
-            a = go(t.arg, index, depth)
-            return t if a is t.arg else Ret(a)
+            return Ret(go(t.arg, index, depth))
         if isinstance(t, Step):
-            b = go(t.body, index, depth)
-            return t if b is t.body else Step(t.cost, b)
+            return Step(t.cost, go(t.body, index, depth))
         if isinstance(t, Bind):
-            h = go(t.head, index, depth)
-            c = go(t.cont, index + 1, depth + 1)
-            return t if (h is t.head and c is t.cont) else Bind(h, c)
+            return Bind(go(t.head, index, depth), go(t.cont, index + 1, depth + 1))
         if isinstance(t, Ifz):
-            s = go(t.scrut, index, depth)
-            z = go(t.zcase, index, depth)
-            sc = go(t.scase, index + 1, depth + 1)
-            return t if (s is t.scrut and z is t.zcase and sc is t.scase) else Ifz(s, z, sc)
+            return Ifz(go(t.scrut, index, depth), go(t.zcase, index, depth),
+                       go(t.scase, index + 1, depth + 1))
         if isinstance(t, Fix):
-            b = go(t.body, index + 1, depth + 1)
-            return t if b is t.body else Fix(b)
+            return Fix(go(t.body, index + 1, depth + 1))
         if isinstance(t, Lam):
-            b = go(t.body, index + 1, depth + 1)
-            return t if b is t.body else Lam(t.dom, b)
-        if isinstance(t, Ap):
-            f = go(t.fun, index, depth)
-            a = go(t.arg, index, depth)
-            return t if (f is t.fun and a is t.arg) else Ap(f, a)
-        raise TypeError(f"not a term: {t!r}")
+            return Lam(t.dom, go(t.body, index + 1, depth + 1))
+        return Ap(go(t.fun, index, depth), go(t.arg, index, depth))
 
+    # Fill the replacement's cache before descending: a hit deep inside `t`
+    # must not recurse through the replacement on top of the stack so far.
+    loose_range(replacement)
     return go(t, index, 0)
 
 

@@ -7,6 +7,7 @@ make a red run green.
 """
 
 import subprocess
+import sys
 import time
 
 import costpcf.harness as hz
@@ -107,7 +108,7 @@ def test_criterion_6_noninterference(acceptance_log):
 
 def test_criterion_7_deterministic_reports(acceptance_log):
     def go():
-        cmd = ["costpcf", "check", "all", "--seed", "1"]
+        cmd = [sys.executable, "-m", "costpcf.cli", "check", "all", "--seed", "1"]
         r1 = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         r2 = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
         assert r1.returncode == 0, r1.stdout + r1.stderr

@@ -1,14 +1,19 @@
 """Command-line interface: output shapes, exit codes, determinism.
 
 Most tests drive `main(argv)` in-process and read captured stdout; a couple
-go through the installed console script to cover the packaging wiring.
+run the CLI in a subprocess to cover the packaging wiring.
 """
 
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
+    import tomli as tomllib
 
 import pytest
 
@@ -276,12 +281,21 @@ def test_no_arguments_shows_usage(capsys):
 # Console script
 
 def test_console_script_end_to_end(tmp_path):
-    env = dict(os.environ)
+    """The `[project.scripts]` target resolves and runs like the installed script.
+
+    The wrapper an install generates does `sys.exit(<func>())` after importing
+    the target; this runs exactly that in a fresh interpreter, so the test
+    needs no install.
+    """
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["costpcf"]
+    module, func = target.split(":")
     p = tmp_path / "p.pcf"
     p.write_text("(step 2 (ret triv))", encoding="utf-8")
-    r = subprocess.run(["costpcf", "profile", str(p)],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode == 0
+    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
+    r = subprocess.run([sys.executable, "-c", wrapper, "profile", str(p)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
     assert r.stdout == '{"status":"defined","cost":2}\n'
 
 

@@ -71,13 +71,6 @@ def test_extensional_phase_collapses():
     assert DEFAULT_MODEL.add(STAR, 4) is STAR  # sealing absorbs
 
 
-def test_restrict_spec_examples():
-    assert DEFAULT_MODEL.restrict(5) is STAR
-    assert DEFAULT_MODEL.restrict(0) is STAR
-    c = DEFAULT_MODEL.restrict(12)
-    assert DEFAULT_MODEL.restrict(c) == c  # idempotent
-
-
 def test_star_is_a_singleton():
     assert type(STAR)() is STAR
     assert DEFAULT_MODEL.show(STAR) == "*"
@@ -85,17 +78,14 @@ def test_star_is_a_singleton():
 
 
 def test_noninterference_kernel():
-    """Random expressions over sealed costs, evaluated extensionally,
+    """Random expressions over raw and sealed costs, evaluated extensionally,
     always produce the single collapsed point."""
     rng = random.Random(3)
 
     def expr(depth):
         if depth <= 0:
-            return EXT.zero() if rng.random() < 0.3 else EXT.restrict(rng.randrange(100))
-        r = rng.random()
-        if r < 0.6:
-            return EXT.add(expr(depth - 1), expr(depth - 1))
-        return EXT.restrict(expr(depth - 1))
+            return rng.choice((EXT.zero(), STAR, rng.randrange(100)))
+        return EXT.add(expr(depth - 1), expr(depth - 1))
 
     outputs = {EXT.show(expr(rng.randint(0, 5))) for _ in range(500)}
     assert outputs == {"*"}

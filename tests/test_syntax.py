@@ -7,6 +7,7 @@ comparing results goes through a named -> de Bruijn conversion (alpha
 equivalence for free).
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -17,7 +18,7 @@ import costpcf.syntax as sx
 from costpcf.syntax import (
     ANS, NAT, TRIV, UNIT, YES, ZERO,
     Ap, Arrow, Bind, F, Fix, Ifz, Lam, ParseError, Ret, Step, Succ, U, Var,
-    numeral, parse, parse_comp_type, print_comp_type, print_term,
+    loose_range, numeral, parse, parse_comp_type, print_comp_type, print_term,
     print_value_type, shift, subst, term_size,
 )
 
@@ -155,6 +156,25 @@ def random_term(rng, nvars, depth):
     return Ap(sub(), sub())
 
 
+def free_indices(t, n):
+    """Brute force: the free de Bruijn indices of `t`, in a context of `n`."""
+    def names(x):
+        if not isinstance(x, tuple) or not x or not isinstance(x[0], str):
+            return set()
+        if x[0] == "var":
+            return {x[1]}
+        return set().union(*map(names, x[1:]))
+    context = [f"g{i}" for i in range(n)]
+    return {context.index(g) for g in names(to_named(t, context)) if g in context}
+
+
+def fresh_copy(t):
+    """Rebuild `t` node by node, so that no node of the copy has a cached range."""
+    if not isinstance(t, sx._Node):
+        return t
+    return type(t)(*(fresh_copy(getattr(t, f.name)) for f in dataclasses.fields(t)))
+
+
 def test_subst_matches_named_oracle():
     rng = random.Random(20260814)
     for _ in range(200):
@@ -169,7 +189,53 @@ def test_subst_matches_named_oracle():
             named_replace(to_named(t, full), f"g{k}", to_named(r, smaller)),
             smaller,
         )
-        assert subst(t, r, k) == expect, print_term(t)
+        # cold caches, then the same objects with warm caches, then a fresh copy
+        for tt, rr in ((t, r), (t, r), (fresh_copy(t), fresh_copy(r))):
+            assert subst(tt, rr, k) == expect, print_term(t, n)
+
+
+def test_loose_range_matches_free_index_scan():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        t = random_term(rng, n, rng.randint(0, 6))
+        free = free_indices(t, n)
+        want = 1 + max(free) if free else 0
+        assert loose_range(t) == want, print_term(t, n)
+        assert loose_range(t) == want  # from the cache
+
+
+def test_subst_and_shift_return_terms_without_high_indices_unchanged():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        t = random_term(rng, n, rng.randint(0, 6))
+        r = random_term(rng, n, 2)
+        free = free_indices(t, n)
+        for k in range(n + 2):
+            if all(i < k for i in free):
+                assert subst(t, r, k) is t
+                assert shift(t, 2, k) is t
+    # untouched subterms and a closed replacement are shared, not rebuilt
+    closed = parse("(lam nat x (ret x))")
+    out = subst(Ap(closed, Var(0)), closed)
+    assert out == Ap(closed, closed)
+    assert out.fun is closed and out.arg is closed
+    out = subst(Lam(NAT, Ap(Var(1), Var(0))), closed)
+    assert out.body.fun is closed
+
+
+def test_range_cache_is_invisible():
+    rng = random.Random(13)
+    for _ in range(200):
+        t = random_term(rng, 2, rng.randint(0, 6))
+        fresh = fresh_copy(t)
+        loose_range(t)
+        assert t == fresh and fresh == t
+        assert hash(t) == hash(fresh)
+        assert repr(t) == repr(fresh)
+        assert print_term(t, 2) == print_term(fresh, 2)
+    assert [f.name for f in dataclasses.fields(Lam)] == ["dom", "body"]
 
 
 def test_subst_spec_examples():
