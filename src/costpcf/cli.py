@@ -251,9 +251,7 @@ def adequacy(path, fuel, monoid, phase, as_json):
     except TypeCheckError as e:
         _emit(e.to_json())
         return 1
-    verdict = _adequacy_verdict(t, fuel, model)
-    m = mc.profile(t, fuel, model)
-    d = dn.observe(dn.denote_closed(t, model).to_delay(), fuel, model)
+    verdict, m, d, fuel = _adequacy_verdict(t, fuel, model)
     machine_part = ({"status": "defined", "cost": model.to_json(m.cost)}
                     if isinstance(m, mc.Defined)
                     else {"status": "exhausted", "fuel": fuel})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 
@@ -40,12 +40,11 @@ STAR = _Star()
 
 @dataclass(frozen=True)
 class CostMonoid:
-    """A cost monoid with decidable equality and literal syntax."""
+    """A cost monoid with literal syntax; elements compare with `==`."""
 
     name: str
     zero: object
     add: Callable
-    eq: Callable
     parse: Callable  # str -> element, raises ValueError
     show: Callable  # element -> str
     contains: Callable  # object -> bool, element validity
@@ -66,7 +65,6 @@ NAT_MONOID = CostMonoid(
     name="nat",
     zero=0,
     add=lambda a, b: a + b,
-    eq=lambda a, b: a == b,
     parse=_nat_parse,
     show=str,
     contains=_nat_contains,
@@ -95,7 +93,6 @@ def vector_monoid(k: int) -> CostMonoid:
         name=f"vec:{k}",
         zero=(0,) * k,
         add=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-        eq=lambda a, b: a == b,
         parse=parse,
         show=lambda c: "[" + ",".join(str(x) for x in c) + "]",
         contains=contains,
@@ -133,10 +130,11 @@ class CostModel:
 
     monoid: CostMonoid = NAT_MONOID
     phase: Phase = Phase.INTENSIONAL
+    # Resolved once here: add reads it on every cost operation.
+    extensional: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def extensional(self) -> bool:
-        return self.phase is Phase.EXTENSIONAL
+    def __post_init__(self):
+        object.__setattr__(self, "extensional", self.phase is Phase.EXTENSIONAL)
 
     def zero(self):
         return self.monoid.zero
@@ -151,7 +149,7 @@ class CostModel:
             return True
         if a is STAR or b is STAR:
             return a is b
-        return self.monoid.eq(a, b)
+        return a == b
 
     def show(self, c) -> str:
         if self.extensional or c is STAR:

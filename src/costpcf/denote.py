@@ -11,7 +11,8 @@ the Later structure of their arguments intact.
 
 Fixed points unfold lazily: each re-entry into a `fix` body goes through a
 guard that costs exactly one Later, making every denotation productive and
-observation fuel-monotone.
+observation fuel-monotone.  A guard builds its Later once and every
+re-entry shares it; fuel is still charged per unwrap, never per object.
 """
 
 from __future__ import annotations
@@ -133,35 +134,50 @@ class Exhausted:
 EXHAUSTED = Exhausted()
 
 
+def _unwind(d, fuel, model):
+    """Unwrap at most `fuel` Laters of d: (Defined or EXHAUSTED, Laters used).
+
+    Dispatch is on exact node type, Later first.  Later is read per call (a
+    tracer may swap in a counting subclass); other subclasses of it take the
+    isinstance fallback once and are then dispatched as Later."""
+    later = Later
+    add = model.add
+    pending = model.zero()
+    stack: list = []
+    push = stack.append
+    pop = stack.pop
+    used = 0
+    while True:
+        tp = type(d)
+        if tp is later:
+            if used >= fuel:
+                return EXHAUSTED, used
+            used += 1
+            d = d.thunk()
+        elif tp is _Charge:
+            pending = add(pending, d.cost)
+            d = d.inner
+        elif tp is _Seq:
+            push(d.cont)
+            d = d.head
+        elif tp is Done:
+            pending = add(pending, d.cost)
+            if not stack:
+                return Defined(pending, d.value), used
+            d = pop()(d.value)
+        elif isinstance(d, Later):
+            later = tp
+        else:
+            raise TypeError(f"not a delay: {d!r}")
+
+
 def observe(d, fuel: int, model: CostModel = DEFAULT_MODEL):
     """Unwrap at most `fuel` Laters; Defined answers are fuel-monotone.
 
     Costs accumulate left-to-right in encounter order, which is evaluation
     order, so non-commutative monoids are respected.
     """
-    pending = model.zero()
-    stack: list = []
-    used = 0
-    while True:
-        if isinstance(d, Done):
-            pending = model.add(pending, d.cost)
-            if stack:
-                d = stack.pop()(d.value)
-            else:
-                return Defined(pending, d.value)
-        elif isinstance(d, _Charge):
-            pending = model.add(pending, d.cost)
-            d = d.inner
-        elif isinstance(d, _Seq):
-            stack.append(d.cont)
-            d = d.head
-        elif isinstance(d, Later):
-            if used >= fuel:
-                return EXHAUSTED
-            used += 1
-            d = d.thunk()
-        else:
-            raise TypeError(f"not a delay: {d!r}")
+    return _unwind(d, fuel, model)[0]
 
 
 def laters_needed(d, limit: int, model: CostModel = DEFAULT_MODEL):
@@ -169,29 +185,8 @@ def laters_needed(d, limit: int, model: CostModel = DEFAULT_MODEL):
 
     Used by tests asserting that combinators preserve Later structure.
     """
-    pending = model.zero()
-    stack: list = []
-    used = 0
-    while True:
-        if isinstance(d, Done):
-            pending = model.add(pending, d.cost)
-            if stack:
-                d = stack.pop()(d.value)
-            else:
-                return used
-        elif isinstance(d, _Charge):
-            pending = model.add(pending, d.cost)
-            d = d.inner
-        elif isinstance(d, _Seq):
-            stack.append(d.cont)
-            d = d.head
-        elif isinstance(d, Later):
-            if used >= limit:
-                return None
-            used += 1
-            d = d.thunk()
-        else:
-            raise TypeError(f"not a delay: {d!r}")
+    outcome, used = _unwind(d, limit, model)
+    return None if outcome is EXHAUSTED else used
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +266,20 @@ class ChargeComp(SemComp):
 
 
 class GuardComp(SemComp):
-    """A fix re-entry point: one Later per unfolding, in either mode."""
+    """A fix re-entry point: one Later per unfolding, in either mode.  Its
+    Later is built once and shared; each unwrap still spends one fuel."""
 
-    __slots__ = ("enter",)
+    __slots__ = ("enter", "_delay")
 
     def __init__(self, enter):
         self.enter = enter  # () -> SemComp
+        self._delay = None
 
     def to_delay(self):
-        return Later(lambda: self.enter().to_delay())
+        if self._delay is None:
+            enter = self.enter  # not self: no guard -> Later -> guard cycle
+            self._delay = Later(lambda: enter().to_delay())
+        return self._delay
 
     def apply(self, v) -> SemComp:
         return GuardComp(lambda: self.enter().apply(v))

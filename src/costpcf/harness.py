@@ -273,14 +273,13 @@ def load_corpus():
 # ---------------------------------------------------------------------------
 # Shared comparison helpers
 
-def _obs_agree(lhs, rhs, fuel, model):
-    """Observe two delays and decide agreement with a 2x Exhausted margin.
+def _obs_agree(o1, o2, lhs, rhs, fuel, model):
+    """Agreement of observations o1, o2 of delays lhs, rhs at `fuel`.
 
     Returns (ok, detail).  Agreement: both Defined with equal cost and equal
-    ground value, or both Exhausted (after widening a one-sided Exhausted).
+    ground value, or both Exhausted (a one-sided Exhausted is re-observed
+    from its delay at 2x fuel first).
     """
-    o1 = dn.observe(lhs, fuel, model)
-    o2 = dn.observe(rhs, fuel, model)
     if isinstance(o1, dn.Exhausted) != isinstance(o2, dn.Exhausted):
         if isinstance(o1, dn.Exhausted):
             o1 = dn.observe(lhs, 2 * fuel, model)
@@ -545,6 +544,8 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
     Terminating programs get every transition checked; divergent ones are
     capped at divergent_step_cap transitions (their transition graphs are
     cyclic modulo substitution, so a small prefix already covers each rule).
+    Each [[e_k]] along the run is observed once and shared by the two
+    transitions it borders; only a one-sided Exhausted re-observes, at 2x.
     `programs` holds (name, term) pairs; ground returner types get the full
     check, other types only the vacuous terminal cases.
     """
@@ -564,25 +565,31 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
         obs_fuel = divergent_observe_fuel if diverged else fuel
 
         # Prop: one transition preserves the denotation up to charging.
+        # charge keeps Laters, so c (+) obs([[e']]) is exactly obs(c (+) [[e']]).
         cur = e
+        lhs = dn.denote_closed(e, model).to_delay()
+        obs = o_lhs = dn.observe(lhs, obs_fuel, model)
         for stepno in range(cap):
             r = mc.out(cur, model)
             if isinstance(r, mc.Terminal):
                 break
-            lhs = dn.denote_closed(cur, model).to_delay()
-            rhs = dn.charge(r.cost, dn.denote_closed(r.term, model).to_delay(), model)
-            ok, why = _obs_agree(lhs, rhs, obs_fuel, model)
+            nxt = dn.denote_closed(r.term, model).to_delay()
+            o_nxt = dn.observe(nxt, obs_fuel, model)
+            o_rhs = (dn.Defined(model.add(r.cost, o_nxt.cost), o_nxt.value)
+                     if isinstance(o_nxt, dn.Defined) else o_nxt)
+            ok, why = _obs_agree(o_lhs, o_rhs, lhs, dn.charge(r.cost, nxt, model),
+                                 obs_fuel, model)
             if not ok:
                 failures.append(Failure(
                     f"per-step:{name}", (printed, sx.print_term(cur)),
                     f"transition {stepno}: {why}", obs_fuel))
                 break
-            cur = r.term
+            cur, lhs, o_lhs = r.term, nxt, o_nxt
 
         # Thm: machine evaluation is reflected exactly in the denotation.
+        # Terminating programs have obs_fuel == fuel: `obs` observed [[e]].
         if not diverged:
             total, terminal, _used = res
-            obs = dn.observe(dn.denote_closed(e, model).to_delay(), fuel, model)
             if isinstance(obs, dn.Exhausted):
                 failures.append(Failure(
                     f"big-step:{name}", (printed,),
@@ -614,26 +621,22 @@ def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRep
     for name, e in programs:
         cases += 1
         printed = sx.print_term(e)
-        verdict = _adequacy_verdict(e, fuel, model)
+        verdict = _adequacy_verdict(e, fuel, model)[0]
         if verdict is not None:
             failures.append(Failure(f"adequacy:{name}", (printed,), verdict, fuel))
     return CheckReport("adequacy", cases, tuple(failures))
 
 
 def _adequacy_verdict(e, fuel, model):
-    """None when machine profile and denotation agree, else a description."""
-    m = mc.profile(e, fuel, model)
-    d = dn.observe(dn.denote_closed(e, model).to_delay(), fuel, model)
-    agreed, why = _profile_obs_agree(m, d, model)
-    if agreed:
-        return None
-    if isinstance(m, mc.Exhausted) or isinstance(d, dn.Exhausted):
-        m = mc.profile(e, 4 * fuel, model)
-        d = dn.observe(dn.denote_closed(e, model).to_delay(), 4 * fuel, model)
+    """(detail, machine profile, denotation observation, fuel) of the runs
+    decided on; detail is None when they agree."""
+    for f in (fuel, 4 * fuel):
+        m = mc.profile(e, f, model)
+        d = dn.observe(dn.denote_closed(e, model).to_delay(), f, model)
         agreed, why = _profile_obs_agree(m, d, model)
-        if agreed:
-            return None
-    return why
+        if agreed or not (isinstance(m, mc.Exhausted) or isinstance(d, dn.Exhausted)):
+            break
+    return (None if agreed else why), m, d, f
 
 
 def _profile_obs_agree(m, d, model):

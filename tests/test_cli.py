@@ -175,6 +175,20 @@ def test_adequacy_command_on_divergent_program(capsys, pcf):
     assert json.loads(out)["agree"] is True
 
 
+def test_adequacy_reports_the_runs_it_decided_on(capsys, pcf):
+    """At fuel 2 the machine runs out on five binds but the denotation needs
+    no Later; the 4x retry agrees, and the payload shows those runs."""
+    src = ("(bind (ret triv) a (bind (ret triv) b (bind (ret triv) c "
+           "(bind (ret triv) d (step 1 (ret triv))))))")
+    rc, out, _ = run_main(capsys, "adequacy", pcf(src), "--fuel", "2", "--json")
+    assert rc == 0
+    assert json.loads(out) == {
+        "agree": True,
+        "machine": {"status": "defined", "cost": 1},
+        "denotation": {"status": "defined", "cost": 1},
+    }
+
+
 # ---------------------------------------------------------------------------
 # check
 

@@ -28,19 +28,19 @@ def test_monoid_laws_randomized(name):
     xs = _samples(m, rng, 1000)
     for i in range(1000):
         a, b, c = xs[i], xs[(i * 7 + 1) % 1000], xs[(i * 13 + 5) % 1000]
-        assert m.eq(m.add(m.add(a, b), c), m.add(a, m.add(b, c)))
-        assert m.eq(m.add(m.zero, a), a)
-        assert m.eq(m.add(a, m.zero), a)
-        # eq is a congruence for add
-        if m.eq(a, b):
-            assert m.eq(m.add(a, c), m.add(b, c))
+        assert m.add(m.add(a, b), c) == m.add(a, m.add(b, c))
+        assert m.add(m.zero, a) == a
+        assert m.add(a, m.zero) == a
+        # == is a congruence for add
+        if a == b:
+            assert m.add(a, c) == m.add(b, c)
 
 
 def test_nat_monoid_spec_examples():
     assert DEFAULT_MODEL.add(2, 3) == 5
     assert DEFAULT_MODEL.add(0, 7) == 7
-    assert NAT_MONOID.eq(4, 4)
-    assert not NAT_MONOID.eq(4, 5)
+    assert DEFAULT_MODEL.eq(4, 4)
+    assert not DEFAULT_MODEL.eq(4, 5)
     assert NAT_MONOID.parse("7") == 7
 
 
@@ -120,4 +120,6 @@ def test_with_phase_is_nondestructive():
     m = DEFAULT_MODEL.with_phase(Phase.EXTENSIONAL)
     assert m.phase is Phase.EXTENSIONAL
     assert DEFAULT_MODEL.phase is Phase.INTENSIONAL
+    assert m.extensional and not DEFAULT_MODEL.extensional
+    assert m == CostModel(DEFAULT_MODEL.monoid, Phase.EXTENSIONAL)
     assert m.monoid is DEFAULT_MODEL.monoid

@@ -226,6 +226,47 @@ def test_fix_unfolds_one_later_per_reentry():
         assert observe(d, 100) == dn.Defined(n, dn.TRIV)
 
 
+@pytest.mark.parametrize("name", ["omega.pcf", "ticking_loop.pcf", "countdown3.pcf"])
+def test_reobserving_a_fix_denotation_matches_a_fresh_one(name):
+    """A guard shares one Later across re-entries; observing the same
+    denotation again, at any fuel, answers as a fresh denotation does."""
+    t = dict(hz.load_corpus())[name]
+    shared = denote_closed(t).to_delay()
+    for _ in range(2):
+        for fuel in range(12):
+            assert observe(shared, fuel) == observe(denote_closed(t).to_delay(), fuel)
+        assert laters_needed(shared, 12) == laters_needed(denote_closed(t).to_delay(), 12)
+    assert laters_needed(shared, 12) == (3 if name == "countdown3.pcf" else None)
+
+
+def test_guard_reuses_its_later():
+    d = denote_closed(sx.parse("(fix x x)")).to_delay()
+    assert d.thunk() is d
+    assert observe(d, 50) is EXHAUSTED
+
+
+def test_observe_accepts_a_later_subclass(monkeypatch):
+    calls = []
+
+    class CountedLater(Later):
+        def __init__(self, thunk):
+            def counted():
+                calls.append(1)
+                return thunk()
+            super().__init__(counted)
+
+    d = Later(lambda: CountedLater(lambda: charge(2, eta(VNum(1)))))
+    assert observe(d, 1) is EXHAUSTED
+    assert observe(d, 2) == dn.Defined(2, VNum(1))
+    assert laters_needed(bindT(d, dn.eta), 5) == 2
+    # Swapped in for the module's Later, as a tracer does: every unwrap counts.
+    monkeypatch.setattr(dn, "Later", CountedLater)
+    calls.clear()
+    t = dict(hz.load_corpus())["countdown3.pcf"]
+    assert observe(denote_closed(t).to_delay(), 10) == dn.Defined(3, dn.TRIV)
+    assert len(calls) == 3
+
+
 def test_ticking_loop_charges_but_never_settles():
     omega_prime = sx.Fix(sx.Step(1, sx.Var(0)))
     d = denote_closed(omega_prime).to_delay()

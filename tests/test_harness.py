@@ -13,7 +13,7 @@ import pytest
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
-from costpcf.cost import DEFAULT_MODEL, NAT_MONOID, vector_monoid, CostModel
+from costpcf.cost import DEFAULT_MODEL, NAT_MONOID, Phase, vector_monoid, CostModel
 from costpcf.harness import (
     CheckReport, Failure, GenConfig, SUITES, check_adequacy, check_laws,
     check_noninterference, check_sequencing_laws, check_soundness,
@@ -204,6 +204,54 @@ def test_soundness_runs_under_vector_monoid():
     rep = check_soundness([(f"g{i}", t) for i, (t, _) in enumerate(programs)],
                           fuel=20_000, model=vec)
     assert rep.failures == ()
+
+
+def _countdown3():
+    return [(n, t) for n, t in load_corpus() if n == "countdown3.pcf"]
+
+
+def test_soundness_reports_a_per_step_fault(monkeypatch):
+    """Sharing each observation between two transitions still catches a
+    single transition whose cost is off by one."""
+    real_out = mc.out
+    seen = []
+
+    def out_off_by_one_once(e, model=DEFAULT_MODEL):
+        r = real_out(e, model)
+        if isinstance(r, mc.Next):
+            seen.append(e)
+            if len(seen) == 2:
+                return mc.Next(model.add(r.cost, 1), r.term)
+        return r
+
+    monkeypatch.setattr(mc, "out", out_off_by_one_once)
+    rep = check_soundness(_countdown3(), fuel=10_000)
+    assert [f.case for f in rep.failures] == ["per-step:countdown3.pcf"]
+    assert rep.failures[0].detail.startswith("transition 1: costs differ")
+    assert rep.failures[0].terms[1] == sx.print_term(seen[1])
+
+
+def test_soundness_reports_a_wrong_machine_total(monkeypatch):
+    real_run = mc.run
+
+    def run_overcharging(e, fuel, model=DEFAULT_MODEL):
+        total, terminal, used = real_run(e, fuel, model)
+        return model.add(total, 1), terminal, used
+
+    monkeypatch.setattr(mc, "run", run_overcharging)
+    rep = check_soundness(_countdown3(), fuel=10_000)
+    assert [f.case for f in rep.failures] == ["big-step:countdown3.pcf"]
+    assert rep.failures[0].detail == "cost 3 != machine 4"
+
+
+@pytest.mark.parametrize("model", [
+    CostModel(monoid=vector_monoid(2)),
+    DEFAULT_MODEL.with_phase(Phase.EXTENSIONAL),
+], ids=["vec:2", "ext"])
+def test_every_suite_passes_under_vector_monoid_and_extensional_phase(model):
+    reports = run_suite("all", seed=4, fuel=5000, model=model, cases=6)
+    assert [r.name for r in reports] == list(SUITES)
+    assert all(r.failures == () for r in reports)
 
 
 # ---------------------------------------------------------------------------
