@@ -18,7 +18,7 @@ from . import denote as dn
 from . import machine as mc
 from . import syntax as sx
 from .cost import CostModel, Phase, get_monoid
-from .harness import SUITES, _adequacy_verdict, run_suite
+from .harness import SUITES, adequacy_verdict, run_suite
 from .typecheck import TypeCheckError, check_program, infer, show_type
 
 DEFAULT_FUEL = 100_000
@@ -95,15 +95,7 @@ def cli():
 def typecheck(path, monoid, as_json):
     """Print the inferred type of the program in PATH."""
     model = _resolve_model(monoid, "int")
-    try:
-        t = _load(path, model)
-        judgment = infer((), t, monoid=model.monoid)
-    except sx.ParseError as e:
-        _emit(_parse_error_json(e))
-        return 1
-    except TypeCheckError as e:
-        _emit(e.to_json())
-        return 1
+    judgment = infer((), _load(path, model), monoid=model.monoid)
     shown = show_type(judgment.classification.type)
     if as_json:
         _emit({"type": shown})
@@ -132,14 +124,7 @@ def step(path, with_trace, fuel, monoid, phase, as_json):
     """Run the abstract machine on PATH and summarize the trace."""
     fuel = _resolve_fuel(fuel)
     model = _resolve_model(monoid, phase)
-    try:
-        t = _well_typed_for_run(_load(path, model), model)
-    except sx.ParseError as e:
-        _emit(_parse_error_json(e))
-        return 1
-    except TypeCheckError as e:
-        _emit(e.to_json())
-        return 1
+    t = _well_typed_for_run(_load(path, model), model)
     tr = mc.trace(t, fuel, model)
     status = "truncated" if tr.truncated else "terminal"
     payload = {"status": status, "steps": len(tr.steps), "total": model.to_json(tr.total)}
@@ -164,15 +149,8 @@ def profile(path, fuel, monoid, phase, as_json):
     """Total cost of running PATH (a unit-returner) to completion."""
     fuel = _resolve_fuel(fuel)
     model = _resolve_model(monoid, phase)
-    try:
-        t = _load(path, model)
-        check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
-    except sx.ParseError as e:
-        _emit(_parse_error_json(e))
-        return 1
-    except TypeCheckError as e:
-        _emit(e.to_json())
-        return 1
+    t = _load(path, model)
+    check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     res = mc.profile(t, fuel, model)
     if isinstance(res, mc.Defined):
         if as_json:
@@ -197,24 +175,15 @@ def denote(path, fuel, monoid, phase, as_json):
     """Observe the denotation of PATH (a returner) at the given fuel."""
     fuel = _resolve_fuel(fuel)
     model = _resolve_model(monoid, phase)
-    try:
-        t = _load(path, model)
-    except sx.ParseError as e:
-        _emit(_parse_error_json(e))
-        return 1
+    t = _load(path, model)
     try:
         judgment = infer((), t, monoid=model.monoid)
     except TypeCheckError as e:
         if not e.ambiguous:
-            _emit(e.to_json())
-            return 1
+            raise
         # Typeable at every computation type (e.g. (fix x x)): observe at
         # the canonical observation type F unit.
-        try:
-            judgment = infer((), t, expected=sx.F(sx.UNIT), monoid=model.monoid)
-        except TypeCheckError as e2:
-            _emit(e2.to_json())
-            return 1
+        judgment = infer((), t, expected=sx.F(sx.UNIT), monoid=model.monoid)
     ct = judgment.classification.type
     if not isinstance(ct, sx.F):
         _emit({"error": "type", "at": [], "msg": "denote requires a returner (F) program"})
@@ -242,16 +211,9 @@ def adequacy(path, fuel, monoid, phase, as_json):
     """Check that machine profile and denotation agree on PATH."""
     fuel = _resolve_fuel(fuel)
     model = _resolve_model(monoid, phase)
-    try:
-        t = _load(path, model)
-        check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
-    except sx.ParseError as e:
-        _emit(_parse_error_json(e))
-        return 1
-    except TypeCheckError as e:
-        _emit(e.to_json())
-        return 1
-    verdict, m, d, fuel = _adequacy_verdict(t, fuel, model)
+    t = _load(path, model)
+    check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
+    verdict, m, d, fuel = adequacy_verdict(t, fuel, model)
     machine_part = ({"status": "defined", "cost": model.to_json(m.cost)}
                     if isinstance(m, mc.Defined)
                     else {"status": "exhausted", "fuel": fuel})
@@ -300,6 +262,12 @@ def main(argv=None) -> int:
         click.echo(f"error: {e.format_message()}", err=True)
         return 1
     except click.exceptions.Abort:
+        return 1
+    except sx.ParseError as e:
+        _emit(_parse_error_json(e))
+        return 1
+    except TypeCheckError as e:
+        _emit(e.to_json())
         return 1
     except mc.StuckError as e:
         _emit({"error": "internal", "msg": f"machine stuck at {sx.print_term(e.term)}"})

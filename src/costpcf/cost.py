@@ -100,11 +100,6 @@ def vector_monoid(k: int) -> CostMonoid:
     )
 
 
-def monoid_instances() -> dict:
-    """Registered cost monoids: the default naturals and the vector family."""
-    return {"nat": NAT_MONOID, "vec": vector_monoid}
-
-
 def get_monoid(name: str) -> CostMonoid:
     """Resolve a --monoid id: "nat" or "vec:<k>".  Raises ValueError."""
     if name == "nat":

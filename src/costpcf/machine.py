@@ -78,7 +78,6 @@ MISMATCH = Mismatch()
 
 @dataclass(frozen=True)
 class Trace:
-    start: object
     steps: tuple  # of (cost, Term)
     total: object
     truncated: bool
@@ -185,19 +184,13 @@ def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL) -> Trace:
     runner = _Runner(e, model)
     steps = []
     total = model.zero()
-    truncated = False
-    while True:
-        if runner.at_terminal():
-            break
-        if len(steps) >= fuel:
-            truncated = True
-            break
+    for _ in range(fuel):
         cost = runner.step()
         if cost is None:
             break
         total = model.add(total, cost)
         steps.append((cost, runner.current_term()))
-    return Trace(e, tuple(steps), total, truncated)
+    return Trace(tuple(steps), total, not runner.at_terminal())
 
 
 def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
@@ -209,12 +202,10 @@ def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
     runner = _Runner(e, model)
     total = model.zero()
     used = 0
-    while used < fuel:
-        if runner.at_terminal():
-            return total, runner.focus, used
+    for _ in range(fuel):
         cost = runner.step()
         if cost is None:
-            return total, runner.focus, used
+            break
         total = model.add(total, cost)
         used += 1
     if runner.at_terminal():

@@ -305,6 +305,7 @@ class _Tok:
 
 
 def _lex(source: str):
+    """Tokens, and the (line, column) just past the last character."""
     toks = []
     line = 1
     col = 1
@@ -320,8 +321,10 @@ def _lex(source: str):
             col += 1
             i += 1
         elif ch == ";":
-            while i < n and source[i] != "\n":
-                i += 1
+            j = source.find("\n", i)
+            j = n if j < 0 else j
+            col += j - i
+            i = j
         elif ch in "()":
             toks.append(_Tok(ch, line, col))
             col += 1
@@ -340,13 +343,14 @@ def _lex(source: str):
             toks.append(_Tok(source[i:j], line, col))
             col += j - i
             i = j
-    return toks
+    return toks, (line, col)
 
 
 class _Tokens:
-    def __init__(self, toks, source_len_hint=0):
+    def __init__(self, toks, end):
         self._toks = toks
         self._pos = 0
+        self._end = end
 
     def peek(self):
         return self._toks[self._pos] if self._pos < len(self._toks) else None
@@ -354,7 +358,7 @@ class _Tokens:
     def next(self, expected=()):
         t = self.peek()
         if t is None:
-            raise ParseError("unexpected end of input", 0, 0, expected)
+            raise ParseError("unexpected end of input", *self._end, expected)
         self._pos += 1
         return t
 
@@ -494,7 +498,7 @@ def parse(source: str, monoid=None) -> Term:
         from .cost import NAT_MONOID
 
         monoid = NAT_MONOID
-    ts = _Tokens(_lex(source))
+    ts = _Tokens(*_lex(source))
     if ts.done():
         raise ParseError("empty input", 1, 1, ("term",))
     term = _parse_term(ts, [], monoid)
@@ -506,7 +510,7 @@ def parse(source: str, monoid=None) -> Term:
 
 def parse_comp_type(source: str) -> CompType:
     """Parse a computation type, e.g. "(F nat)" or "(-> nat (F nat))"."""
-    ts = _Tokens(_lex(source))
+    ts = _Tokens(*_lex(source))
     ct = _parse_comp_type(ts)
     extra = ts.peek()
     if extra is not None:
@@ -589,21 +593,3 @@ def print_term(t: Term, depth: int = 0) -> str:
         return f"(ap {print_term(t.fun, depth)} {print_term(t.arg, depth)})"
     raise TypeError(f"not a term: {t!r}")
 
-
-def term_size(t: Term) -> int:
-    """Node count, used by the shrinker's progress metric."""
-    if isinstance(t, (Var, Yes, No, Zero, Triv)):
-        return 1
-    if isinstance(t, (Succ, Ret)):
-        return 1 + term_size(t.arg)
-    if isinstance(t, Step):
-        return 1 + term_size(t.body)
-    if isinstance(t, Bind):
-        return 1 + term_size(t.head) + term_size(t.cont)
-    if isinstance(t, Ifz):
-        return 1 + term_size(t.scrut) + term_size(t.zcase) + term_size(t.scase)
-    if isinstance(t, (Fix, Lam)):
-        return 1 + term_size(t.body)
-    if isinstance(t, Ap):
-        return 1 + term_size(t.fun) + term_size(t.arg)
-    raise TypeError(f"not a term: {t!r}")

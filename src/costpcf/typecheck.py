@@ -11,7 +11,6 @@ type seeds the metavariable and succeeds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import syntax as sx
@@ -145,28 +144,27 @@ class _Solver:
 
 def _show(t) -> str:
     """Human-readable type, e.g. "F nat" or "nat -> F nat"."""
-    t_resolved = t
-    if isinstance(t_resolved, (_VMeta, _CMeta)):
+    if isinstance(t, (_VMeta, _CMeta)):
         return "?"
-    if isinstance(t_resolved, sx.Ans):
+    if isinstance(t, sx.Ans):
         return "ans"
-    if isinstance(t_resolved, sx.Nat):
+    if isinstance(t, sx.Nat):
         return "nat"
-    if isinstance(t_resolved, sx.Unit):
+    if isinstance(t, sx.Unit):
         return "unit"
-    if isinstance(t_resolved, sx.U):
-        return f"U ({_show(t_resolved.comp)})"
-    if isinstance(t_resolved, sx.F):
-        inner = _show(t_resolved.value)
-        if isinstance(t_resolved.value, sx.U):
+    if isinstance(t, sx.U):
+        return f"U ({_show(t.comp)})"
+    if isinstance(t, sx.F):
+        inner = _show(t.value)
+        if isinstance(t.value, sx.U):
             inner = f"({inner})"
         return f"F {inner}"
-    if isinstance(t_resolved, sx.Arrow):
-        dom = _show(t_resolved.dom)
-        if isinstance(t_resolved.dom, sx.U):
+    if isinstance(t, sx.Arrow):
+        dom = _show(t.dom)
+        if isinstance(t.dom, sx.U):
             dom = f"({dom})"
-        return f"{dom} -> {_show(t_resolved.cod)}"
-    return repr(t_resolved)
+        return f"{dom} -> {_show(t.cod)}"
+    return repr(t)
 
 
 show_type = _show

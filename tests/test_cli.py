@@ -75,9 +75,27 @@ def test_typecheck_empty_file_is_parse_error(capsys, pcf):
 
 
 def test_typecheck_parse_error_position(capsys, pcf):
-    rc, out, _ = run_main(capsys, "typecheck", pcf("(ret zero"))
+    # End of input is reported just past the last character.
+    for src, line, column in [("(ret zero", 1, 10),
+                              ("(ret zero ; open", 1, 17),
+                              ("(ret zero\n  ; open\n", 3, 1)]:
+        rc, out, _ = run_main(capsys, "typecheck", pcf(src))
+        assert rc == 1
+        blob = json.loads(out)
+        assert (blob["error"], blob["line"], blob["column"]) == ("parse", line, column), src
+
+
+@pytest.mark.parametrize("command", ["typecheck", "step", "profile", "denote", "adequacy"])
+@pytest.mark.parametrize("src, error", [
+    ("(bind (ret zero) x", "parse"),
+    ("(ap (ret zero) zero)", "type"),
+])
+def test_file_commands_report_user_errors_as_one_json_line(capsys, pcf, command, src, error):
+    rc, out, err = run_main(capsys, command, pcf(src))
     assert rc == 1
-    assert json.loads(out)["error"] == "parse"
+    assert err == ""
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == error
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ import random
 import pytest
 
 from costpcf.cost import (
-    DEFAULT_MODEL, NAT_MONOID, STAR, CostModel, Phase, get_monoid,
-    monoid_instances, vector_monoid,
+    DEFAULT_MODEL, NAT_MONOID, STAR, CostModel, Phase, get_monoid, vector_monoid,
 )
 
 EXT = DEFAULT_MODEL.with_phase(Phase.EXTENSIONAL)
@@ -92,8 +91,6 @@ def test_noninterference_kernel():
 
 
 def test_registry():
-    insts = monoid_instances()
-    assert "nat" in insts
     assert get_monoid("nat") is NAT_MONOID
     assert get_monoid("vec:2").name == "vec:2"
     with pytest.raises(ValueError):

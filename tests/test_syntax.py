@@ -19,7 +19,7 @@ from costpcf.syntax import (
     ANS, NAT, TRIV, UNIT, YES, ZERO,
     Ap, Arrow, Bind, F, Fix, Ifz, Lam, ParseError, Ret, Step, Succ, U, Var,
     loose_range, numeral, parse, parse_comp_type, print_comp_type, print_term,
-    print_value_type, shift, subst, term_size,
+    print_value_type, shift, subst,
 )
 
 # ---------------------------------------------------------------------------
@@ -365,12 +365,6 @@ def test_type_printing_roundtrip():
     for x in cases:
         assert parse_comp_type(print_comp_type(x)) == x
     assert print_value_type(U(F(UNIT))) == "(U (F unit))"
-
-
-def test_term_size_counts_nodes():
-    assert term_size(ZERO) == 1
-    assert term_size(Ret(ZERO)) == 2
-    assert term_size(Bind(Ret(TRIV), Ret(Var(0)))) == 5
 
 
 def test_terms_are_hashable_and_immutable():
