@@ -125,7 +125,7 @@ def step(path, with_trace, fuel, monoid, phase, as_json):
     fuel = _resolve_fuel(fuel)
     model = _resolve_model(monoid, phase)
     t = _well_typed_for_run(_load(path, model), model)
-    tr = mc.trace(t, fuel, model)
+    tr = mc.trace(t, fuel, model, terms=with_trace)
     status = "truncated" if tr.truncated else "terminal"
     payload = {"status": status, "steps": len(tr.steps), "total": model.to_json(tr.total)}
     if with_trace:

@@ -13,6 +13,8 @@ Fixed points unfold lazily: each re-entry into a `fix` body goes through a
 guard that costs exactly one Later, making every denotation productive and
 observation fuel-monotone.  A guard builds its Later once and every
 re-entry shares it; fuel is still charged per unwrap, never per object.
+`observe` stops early, with the answer the whole budget would give, once it
+meets the same Later again in a state that proves it repeats forever.
 """
 
 from __future__ import annotations
@@ -139,7 +141,15 @@ def _unwind(d, fuel, model):
 
     Dispatch is on exact node type, Later first.  Later is read per call (a
     tracer may swap in a counting subclass); other subclasses of it take the
-    isinstance fallback once and are then dispatched as Later."""
+    isinstance fallback once and are then dispatched as Later.
+
+    A delay that provably repeats forever answers (EXHAUSTED, fuel) at once,
+    as the full budget would: at each power-of-two count of unwraps the
+    Later and the continuation stack height are marked.  If the same Later
+    (by identity) comes back while none of the continuations present at the
+    mark has been popped, the unwinding since the mark used only that Later
+    and the continuations it pushed itself; thunks and continuations are
+    pure, so it recurs without end."""
     later = Later
     add = model.add
     pending = model.zero()
@@ -147,12 +157,19 @@ def _unwind(d, fuel, model):
     push = stack.append
     pop = stack.pop
     used = 0
+    mark = None
+    mark_height = low = 0
     while True:
         tp = type(d)
         if tp is later:
             if used >= fuel:
                 return EXHAUSTED, used
+            if d is mark and low >= mark_height:
+                return EXHAUSTED, fuel
             used += 1
+            if not used & (used - 1):
+                mark = d
+                mark_height = low = len(stack)
             d = d.thunk()
         elif tp is _Charge:
             pending = add(pending, d.cost)
@@ -165,6 +182,8 @@ def _unwind(d, fuel, model):
             if not stack:
                 return Defined(pending, d.value), used
             d = pop()(d.value)
+            if len(stack) < low:
+                low = len(stack)
         elif isinstance(d, Later):
             later = tp
         else:
@@ -267,13 +286,17 @@ class ChargeComp(SemComp):
 
 class GuardComp(SemComp):
     """A fix re-entry point: one Later per unfolding, in either mode.  Its
-    Later is built once and shared; each unwrap still spends one fuel."""
+    Later is built once and shared; each unwrap still spends one fuel.  It
+    also keeps the guard it built for its last argument (one slot, compared
+    by identity), so a loop that passes its argument on unchanged meets the
+    same Later again."""
 
-    __slots__ = ("enter", "_delay")
+    __slots__ = ("enter", "_delay", "_arg", "_applied")
 
     def __init__(self, enter):
         self.enter = enter  # () -> SemComp
         self._delay = None
+        self._arg = self._applied = None
 
     def to_delay(self):
         if self._delay is None:
@@ -282,7 +305,11 @@ class GuardComp(SemComp):
         return self._delay
 
     def apply(self, v) -> SemComp:
-        return GuardComp(lambda: self.enter().apply(v))
+        if v is not self._arg:
+            enter = self.enter
+            self._arg = v
+            self._applied = GuardComp(lambda: enter().apply(v))
+        return self._applied
 
 
 # ---------------------------------------------------------------------------

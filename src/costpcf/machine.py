@@ -19,7 +19,9 @@ instead of O(depth).  The substitution a head rule performs is not O(1): it
 rebuilds only the subterms that mention the bound index and shares the rest,
 and the replacement, always closed here, is shared rather than copied (see
 `syntax.subst`).  One fuel unit is one fired head rule, which is exactly one
-`out` transition.
+`out` transition.  `run` stops early, with the answer the whole budget would
+give, once it proves that a fix unfolding repeats forever; `trace` and `out`
+never do.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ MISMATCH = Mismatch()
 
 @dataclass(frozen=True)
 class Trace:
-    steps: tuple  # of (cost, Term)
+    steps: tuple  # of (cost, Term), or (cost, None) without terms
     total: object
     truncated: bool
 
@@ -99,10 +101,17 @@ def _plug(frames, t):
 class _Runner:
     """Focus + frame stack form of the machine; fires one head rule per step."""
 
-    def __init__(self, term, model: CostModel):
+    def __init__(self, term, model: CostModel, watch: bool = False):
         self.focus = term
         self.frames: list = []
         self.model = model
+        # Repeat check, on when `watch` (see `run`): fix unfoldings so far,
+        # the fix node and stack height marked at the last power-of-two
+        # count, and the lowest stack height since then.
+        self.watch = watch
+        self.fixes = 0
+        self.mark = None
+        self.mark_height = self.low = 0
 
     def current_term(self):
         return _plug(self.frames, self.focus)
@@ -111,7 +120,8 @@ class _Runner:
         return not self.frames and is_terminal(self.focus)
 
     def step(self) -> Optional[object]:
-        """Fire one transition; returns its cost, or None at a terminal."""
+        """Fire one transition; returns its cost, or None at a terminal or,
+        when watching, at a proven repeat (`at_terminal` tells them apart)."""
         focus = self.focus
         frames = self.frames
         while True:
@@ -133,6 +143,14 @@ class _Runner:
                 self.focus = focus.body
                 return focus.cost
             if isinstance(focus, sx.Fix):
+                if self.watch:
+                    if focus is self.mark and self.low >= self.mark_height:
+                        self.focus = focus
+                        return None
+                    self.fixes += 1
+                    if not self.fixes & (self.fixes - 1):
+                        self.mark = focus
+                        self.mark_height = self.low = len(frames)
                 self.focus = sx.subst(focus.body, focus)
                 return self.model.zero()
             if isinstance(focus, sx.Ifz):
@@ -151,6 +169,8 @@ class _Runner:
                     return None
                 if frames[-1][0] == "bind":
                     cont = frames.pop()[1]
+                    if len(frames) < self.low:
+                        self.low = len(frames)
                     self.focus = sx.subst(cont, focus.arg)
                     return self.model.zero()
                 self.focus = focus
@@ -161,6 +181,8 @@ class _Runner:
                     return None
                 if frames[-1][0] == "ap":
                     arg = frames.pop()[1]
+                    if len(frames) < self.low:
+                        self.low = len(frames)
                     self.focus = sx.subst(focus.body, arg)
                     return self.model.zero()
                 self.focus = focus
@@ -179,8 +201,11 @@ def out(e, model: CostModel = DEFAULT_MODEL) -> StepResult:
     return Next(cost, runner.current_term())
 
 
-def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL) -> Trace:
-    """Iterate `out` at most fuel times, recording each (cost, term) step."""
+def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL, terms: bool = True) -> Trace:
+    """Iterate `out` at most fuel times, recording each (cost, term) step.
+
+    With terms=False each step records None for its term, so no term is
+    rebuilt from the frame stack per step."""
     runner = _Runner(e, model)
     steps = []
     total = model.zero()
@@ -189,7 +214,7 @@ def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL) -> Trace:
         if cost is None:
             break
         total = model.add(total, cost)
-        steps.append((cost, runner.current_term()))
+        steps.append((cost, runner.current_term() if terms else None))
     return Trace(tuple(steps), total, not runner.at_terminal())
 
 
@@ -197,9 +222,16 @@ def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
     """Drive e to a terminal within fuel.
 
     Returns (total cost, terminal term, steps used) or None when the budget
-    is exhausted first.
+    is exhausted first.  A run that provably repeats forever answers None
+    at once, as the full budget would: at each power-of-two count of fix
+    unfoldings the runner marks the fix node and the frame stack height.  If
+    the same node (by identity) is unfolded again while none of the frames
+    present at the mark has been popped, the steps since the mark used only
+    that node and the frames they pushed themselves, so they recur without
+    end (Brent's cycle detection, allowing the stack to grow).  `trace` and
+    `out` never take this shortcut.
     """
-    runner = _Runner(e, model)
+    runner = _Runner(e, model, watch=True)
     total = model.zero()
     used = 0
     for _ in range(fuel):

@@ -5,6 +5,9 @@ each side's settling point, so they check both the settled answer and the
 unsettled prefix (a law that held only at large fuel would fail here).
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -319,3 +322,138 @@ def test_semantic_value_equality_is_structural_at_ground():
     assert VNum(3) != VNum(4)
     assert VBool(True) == dn.V_YES
     assert VTriv() == dn.TRIV
+
+
+# ---------------------------------------------------------------------------
+# Repeat check: `observe` may answer Exhausted early, but only where the
+# whole budget answers Exhausted too.
+
+EXACT_FUELS = (0, 1, 2, 3, 7, 64, 2000)
+
+
+def plain_unwind(d, fuel, model=DEFAULT_MODEL):
+    """(outcome, Laters used), spending every unit of fuel: no repeat check."""
+    pending, stack, used = model.zero(), [], 0
+    while True:
+        if isinstance(d, Later):
+            if used == fuel:
+                return EXHAUSTED, used
+            used += 1
+            d = d.thunk()
+        elif isinstance(d, dn._Charge):
+            pending = model.add(pending, d.cost)
+            d = d.inner
+        elif isinstance(d, dn._Seq):
+            stack.append(d.cont)
+            d = d.head
+        elif stack:
+            pending = model.add(pending, d.cost)
+            d = stack.pop()(d.value)
+        else:
+            return dn.Defined(model.add(pending, d.cost), d.value), used
+
+
+def returner_programs():
+    programs = [(name, t) for name, t in hz.load_corpus()
+                if hz._ground_f_type(t, DEFAULT_MODEL) is not None]
+    for seed in (1, 2, 3):
+        gen = hz.gen_programs(seed, 60, hz._GROUND_F, terminating_frac=0.0)
+        programs += [(f"gen{seed}[{i}]", t) for i, (t, _) in enumerate(gen)]
+    return programs
+
+
+def test_observe_matches_a_plain_unwinder():
+    for name, t in returner_programs():
+        d = denote_closed(t).to_delay()
+        for fuel in EXACT_FUELS:
+            want, used = plain_unwind(denote_closed(t).to_delay(), fuel)
+            assert observe(d, fuel) == want, (name, fuel)
+            assert laters_needed(d, fuel) == (None if want is EXHAUSTED else used), (name, fuel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays, st.integers(0, 30))
+def test_observe_matches_a_plain_unwinder_on_random_delays(d, fuel):
+    want, used = plain_unwind(d, fuel)
+    assert observe(d, fuel) == want
+    assert laters_needed(d, fuel) == (None if want is EXHAUSTED else used)
+
+
+def later_tripwire(monkeypatch, limit):
+    """Swap in a Later that counts unwraps and fails past limit."""
+    calls = []
+
+    class Tripwire(Later):
+        def __init__(self, thunk):
+            def counted():
+                calls.append(1)
+                assert len(calls) <= limit, "the observation did not recognise its repeat"
+                return thunk()
+            super().__init__(counted)
+
+    monkeypatch.setattr(dn, "Later", Tripwire)
+    return calls
+
+
+@pytest.mark.parametrize("src", [
+    "(fix x x)",
+    "(fix x (step 1 x))",
+    "(bind (fix x (bind x y (ret triv))) z (ret triv))",  # grow_loop
+    # passes its argument on unchanged, so the guard reuses one Later
+    "(ap (fix r (lam nat x (ap r x))) 0)",
+    # a function-typed loop from the check all --seed 1 soundness programs
+    "(ap (ifz 4 (step 3 (lam (U (F nat)) x (ret zero))) x (fix x1 (step 5 x1)))"
+    " (step 5 (ifz zero (ret zero) x (ret zero))))",
+])
+def test_observe_recognises_a_repeating_later(monkeypatch, src):
+    t = sx.parse(src)
+    calls = later_tripwire(monkeypatch, 300)
+    assert observe(denote_closed(t).to_delay(), 10**9) is EXHAUSTED
+    assert laters_needed(denote_closed(t).to_delay(), 10**9) is None
+    assert len(calls) <= 300
+
+
+@pytest.mark.parametrize("name, laters", [
+    ("countdown3.pcf", 3), ("countdown5.pcf", 5), ("ackermann.pcf", 26)])
+def test_observe_does_not_flag_a_recursion_on_new_arguments(name, laters):
+    t = dict(hz.load_corpus())[name]
+    d = denote_closed(t).to_delay()
+    assert laters_needed(d, 10**6) == laters
+    assert observe(d, laters - 1) is EXHAUSTED
+    assert isinstance(observe(d, 10**6), dn.Defined)
+
+
+def test_a_continuation_returning_the_later_it_follows_is_not_a_repeat():
+    """The second unwrap meets the first Later again, but only after the
+    continuation pushed before it was popped."""
+    later = Later(lambda: eta(VNum(1)))
+    d = bindT(later, lambda v: later)
+    assert observe(d, 1) is EXHAUSTED
+    assert observe(d, 2) == dn.Defined(0, VNum(1))
+    assert laters_needed(d, 100) == 2
+
+
+def test_repeat_check_compares_laters_by_identity():
+    """Laters with one thunk are equal (==); only the same object is a
+    repeat.  This thunk counts down, rebuilding an equal Later each time."""
+    left = [3]
+
+    def thunk():
+        left[0] -= 1
+        return Later(thunk) if left[0] else eta(VNum(1))
+
+    assert observe(Later(thunk), 10) == dn.Defined(0, VNum(1))
+
+
+def test_guard_remembers_one_applied_guard():
+    g = dn.GuardComp(lambda: FunComp(lambda v: FComp(eta(v))))
+    refs = []
+    for i in range(100):
+        a = VNum(i)
+        refs.append(weakref.ref(a))
+        assert g.apply(a) is g.apply(a)
+        assert observe(g.apply(a).to_delay(), 1) == dn.Defined(0, a)
+    assert g.apply(VNum(0)) is not g.apply(VNum(0))  # equal is not enough
+    del a
+    gc.collect()
+    assert sum(r() is not None for r in refs) == 0

@@ -274,3 +274,87 @@ def test_extensional_phase_seals_profile():
     o = profile(parse("(step 2 (step 3 (ret triv)))"), 10, ext)
     assert isinstance(o, Defined)
     assert ext.show(o.cost) == "*"
+
+
+# ---------------------------------------------------------------------------
+# Repeat check: `run` may answer None early, but only where the whole budget
+# answers None too.  `trace` is the plain loop it is compared with.
+
+EXACT_FUELS = (0, 1, 2, 3, 7, 64, 2000)
+
+
+def exactness_programs():
+    programs = list(hz.load_corpus())
+    for seed in (1, 2, 3):
+        gen = hz.gen_programs(seed, 60, hz._GROUND_F, terminating_frac=0.0)
+        programs += [(f"gen{seed}[{i}]", t) for i, (t, _) in enumerate(gen)]
+    return programs
+
+
+def test_run_matches_a_plain_step_loop():
+    for name, t in exactness_programs():
+        for fuel in EXACT_FUELS:
+            tr = trace(t, fuel, terms=False)
+            assert len(tr.steps) == fuel or not tr.truncated, name
+            res = run(t, fuel)
+            if tr.truncated:
+                assert res is None, (name, fuel)
+                continue
+            total, terminal, used = res
+            assert (total, used) == (tr.total, len(tr.steps)), (name, fuel)
+            steps = trace(t, fuel).steps
+            assert terminal == (steps[-1][1] if steps else t), (name, fuel)
+
+
+def substitution_tripwire(monkeypatch, limit):
+    """Count substitutions (each fix unfolding is one); fail past limit."""
+    calls = []
+    real = sx.subst
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= limit, "the run did not recognise its repeat"
+        return real(*args)
+
+    monkeypatch.setattr(sx, "subst", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["omega", "ticking_loop", "grow_loop"])
+def test_run_recognises_a_repeating_fix(monkeypatch, name):
+    """grow_loop's frame stack grows by one bind per unfolding, yet nothing
+    below the mark is ever popped: a repeat all the same."""
+    t = dict(hz.load_corpus())[f"{name}.pcf"]
+    calls = substitution_tripwire(monkeypatch, 10)
+    assert run(t, 10**9) is None
+    assert profile(t, 10**9) == Exhausted(10**9)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("name", ["countdown3", "countdown5", "ackermann"])
+def test_run_does_not_flag_a_fix_whose_frame_was_popped(name):
+    """These unfold one shared fix node again and again, but each time only
+    after popping the ap frame that held the previous argument."""
+    t = dict(hz.load_corpus())[f"{name}.pcf"]
+    cost, steps, printed = CORPUS_EXPECT[name]
+    for fuel in (steps, 10**6):
+        total, terminal, used = run(t, fuel)
+        assert (total, used, sx.print_term(terminal)) == (cost, steps, printed)
+    assert run(t, steps - 1) is None
+
+
+def test_trace_spends_every_step_on_a_repeating_fix():
+    t = dict(hz.load_corpus())["grow_loop.pcf"]
+    for fuel in (1, 64, 2000):
+        tr = trace(t, fuel, terms=False)
+        assert tr.truncated and len(tr.steps) == fuel
+    tr = trace(t, 64)
+    assert tr.truncated and len(tr.steps) == 64
+
+
+def test_trace_without_terms_keeps_costs_and_total():
+    t = parse("(step 2 (bind (step 3 (ret triv)) u (ret u)))")
+    full, bare = trace(t, 10), trace(t, 10, terms=False)
+    assert [c for c, _ in bare.steps] == [c for c, _ in full.steps]
+    assert all(s is None for _, s in bare.steps)
+    assert (bare.total, bare.truncated) == (full.total, full.truncated) == (5, False)
