@@ -18,10 +18,14 @@ so finding the next redex under a long bind/ap spine costs O(1) per step
 instead of O(depth).  The substitution a head rule performs is not O(1): it
 rebuilds only the subterms that mention the bound index and shares the rest,
 and the replacement, always closed here, is shared rather than copied (see
-`syntax.subst`).  One fuel unit is one fired head rule, which is exactly one
-`out` transition.  `run` stops early, with the answer the whole budget would
-give, once it proves that a fix unfolding repeats forever; `trace` and `out`
-never do.
+`syntax.subst`).  Within one run it is also done once per (body, replacement)
+pair of node objects: the runner memoises it by identity, so a fix unfolding
+or a numeral substituted into the same body again returns the earlier result,
+the identical object.  The memo holds at most SUBST_MEMO_CAP entries; `out`
+builds a fresh runner, and so a fresh memo, per call.  One fuel unit is one
+fired head rule, which is exactly one `out` transition, hit or miss.  `run`
+stops early, with the answer the whole budget would give, once it proves
+that a fix unfolding repeats forever; `trace` and `out` never do.
 """
 
 from __future__ import annotations
@@ -98,6 +102,10 @@ def _plug(frames, t):
     return t
 
 
+# Entries the substitution memo of one run holds before it is cleared.
+SUBST_MEMO_CAP = 1024
+
+
 class _Runner:
     """Focus + frame stack form of the machine; fires one head rule per step."""
 
@@ -105,19 +113,58 @@ class _Runner:
         self.focus = term
         self.frames: list = []
         self.model = model
+        # (id(body), id(arg)) -> (body, arg, body[arg]); see `subst`.
+        self.memo: dict = {}
         # Repeat check, on when `watch` (see `run`): fix unfoldings so far,
-        # the fix node and stack height marked at the last power-of-two
-        # count, and the lowest stack height since then.
+        # the fix node and a copy of the frame stack marked at the last
+        # power-of-two count, and the lowest stack height since then.
         self.watch = watch
         self.fixes = 0
         self.mark = None
-        self.mark_height = self.low = 0
+        self.snapshot: list = []
+        self.low = 0
 
     def current_term(self):
         return _plug(self.frames, self.focus)
 
     def at_terminal(self) -> bool:
         return not self.frames and is_terminal(self.focus)
+
+    def subst(self, body, arg):
+        """body[arg] at index 0, computed once per (body, arg) pair by identity.
+
+        `subst` is pure and nodes are immutable, so a hit is exact.  Each
+        entry keeps its body and arg alive, so their ids cannot be reused
+        while it exists; the memo is cleared when it reaches SUBST_MEMO_CAP
+        entries, which bounds a run's memory."""
+        key = (id(body), id(arg))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[2]
+        if len(self.memo) >= SUBST_MEMO_CAP:
+            self.memo.clear()
+        result = sx.subst(body, arg)
+        self.memo[key] = (body, arg, result)
+        return result
+
+    def repeats(self) -> bool:
+        """Whether unfolding the marked fix node again now repeats the state
+        at the mark, so the run would go on forever.
+
+        Either no frame present at the mark has been popped since, or the
+        stack is back at the marked height and every frame from the lowest
+        height since the mark up is the marked one at that height: the same
+        kind with the identical payload (`is`, since `==` on terms recurses)."""
+        frames, low, snapshot = self.frames, self.low, self.snapshot
+        if low >= len(snapshot):
+            return True
+        if len(frames) != len(snapshot):
+            return False
+        for i in range(len(frames) - 1, low - 1, -1):
+            kind, payload = frames[i]
+            if kind != snapshot[i][0] or payload is not snapshot[i][1]:
+                return False
+        return True
 
     def step(self) -> Optional[object]:
         """Fire one transition; returns its cost, or None at a terminal or,
@@ -127,14 +174,14 @@ class _Runner:
         while True:
             if isinstance(focus, sx.Bind):
                 if isinstance(focus.head, sx.Ret):
-                    self.focus = sx.subst(focus.cont, focus.head.arg)
+                    self.focus = self.subst(focus.cont, focus.head.arg)
                     return self.model.zero()
                 frames.append(("bind", focus.cont))
                 focus = focus.head
                 continue
             if isinstance(focus, sx.Ap):
                 if isinstance(focus.fun, sx.Lam):
-                    self.focus = sx.subst(focus.fun.body, focus.arg)
+                    self.focus = self.subst(focus.fun.body, focus.arg)
                     return self.model.zero()
                 frames.append(("ap", focus.arg))
                 focus = focus.fun
@@ -144,14 +191,15 @@ class _Runner:
                 return focus.cost
             if isinstance(focus, sx.Fix):
                 if self.watch:
-                    if focus is self.mark and self.low >= self.mark_height:
+                    if focus is self.mark and self.repeats():
                         self.focus = focus
                         return None
                     self.fixes += 1
                     if not self.fixes & (self.fixes - 1):
                         self.mark = focus
-                        self.mark_height = self.low = len(frames)
-                self.focus = sx.subst(focus.body, focus)
+                        self.snapshot = frames.copy()
+                        self.low = len(frames)
+                self.focus = self.subst(focus.body, focus)
                 return self.model.zero()
             if isinstance(focus, sx.Ifz):
                 scrut = focus.scrut
@@ -159,7 +207,7 @@ class _Runner:
                     self.focus = focus.zcase
                     return self.model.zero()
                 if isinstance(scrut, sx.Succ):
-                    self.focus = sx.subst(focus.scase, scrut.arg)
+                    self.focus = self.subst(focus.scase, scrut.arg)
                     return self.model.zero()
                 self.focus = focus
                 raise StuckError(self.current_term())
@@ -171,7 +219,7 @@ class _Runner:
                     cont = frames.pop()[1]
                     if len(frames) < self.low:
                         self.low = len(frames)
-                    self.focus = sx.subst(cont, focus.arg)
+                    self.focus = self.subst(cont, focus.arg)
                     return self.model.zero()
                 self.focus = focus
                 raise StuckError(self.current_term())
@@ -183,7 +231,7 @@ class _Runner:
                     arg = frames.pop()[1]
                     if len(frames) < self.low:
                         self.low = len(frames)
-                    self.focus = sx.subst(focus.body, arg)
+                    self.focus = self.subst(focus.body, arg)
                     return self.model.zero()
                 self.focus = focus
                 raise StuckError(self.current_term())
@@ -224,11 +272,18 @@ def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
     Returns (total cost, terminal term, steps used) or None when the budget
     is exhausted first.  A run that provably repeats forever answers None
     at once, as the full budget would: at each power-of-two count of fix
-    unfoldings the runner marks the fix node and the frame stack height.  If
-    the same node (by identity) is unfolded again while none of the frames
-    present at the mark has been popped, the steps since the mark used only
-    that node and the frames they pushed themselves, so they recur without
-    end (Brent's cycle detection, allowing the stack to grow).  `trace` and
+    unfoldings the runner marks the fix node, the frame stack height and a
+    copy of the frames (Brent's cycle detection).  When the same node (by
+    identity) is unfolded again, the run repeats without end in two cases.
+    If none of the frames present at the mark has been popped, the steps
+    since the mark used only that node and the frames they pushed
+    themselves, so they recur, allowing the stack to grow.  If the stack is
+    back at the marked height and every frame from the lowest height since
+    the mark up has the marked frame's kind and the identical payload, the
+    whole machine state is the marked one.  Identity implies structural
+    equality, so both are exact; the substitution memo (see the module
+    docstring) makes equal unfoldings identical, so loops that rebuild an
+    inner fix or pass an argument on unchanged are caught too.  `trace` and
     `out` never take this shortcut.
     """
     runner = _Runner(e, model, watch=True)

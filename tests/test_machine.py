@@ -277,8 +277,10 @@ def test_extensional_phase_seals_profile():
 
 
 # ---------------------------------------------------------------------------
-# Repeat check: `run` may answer None early, but only where the whole budget
-# answers None too.  `trace` is the plain loop it is compared with.
+# Repeat check and substitution memo: `run` may answer None early, but only
+# where the whole budget answers None too, and `run` and `trace` reuse
+# substitutions.  The reference iterates `out`, which builds a fresh runner,
+# and so a fresh memo, for every transition.
 
 EXACT_FUELS = (0, 1, 2, 3, 7, 64, 2000)
 
@@ -291,32 +293,50 @@ def exactness_programs():
     return programs
 
 
+def out_steps(t, fuel):
+    """The (cost, term) transitions of t within fuel, by iterating `out`,
+    and whether t is terminal after them."""
+    steps = []
+    for _ in range(fuel):
+        nxt = out(t)
+        if isinstance(nxt, Terminal):
+            return steps, True
+        t = nxt.term
+        steps.append((nxt.cost, t))
+    return steps, isinstance(out(t), Terminal)
+
+
 def test_run_matches_a_plain_step_loop():
     for name, t in exactness_programs():
+        ref, done = out_steps(t, max(EXACT_FUELS))
         for fuel in EXACT_FUELS:
+            want = ref[:fuel]
+            want_total = sum(c for c, _ in want)
+            want_done = done and len(ref) <= fuel
             tr = trace(t, fuel, terms=False)
-            assert len(tr.steps) == fuel or not tr.truncated, name
+            assert [c for c, _ in tr.steps] == [c for c, _ in want], (name, fuel)
+            assert (tr.total, tr.truncated) == (want_total, not want_done), (name, fuel)
             res = run(t, fuel)
-            if tr.truncated:
+            if not want_done:
                 assert res is None, (name, fuel)
                 continue
-            total, terminal, used = res
-            assert (total, used) == (tr.total, len(tr.steps)), (name, fuel)
-            steps = trace(t, fuel).steps
-            assert terminal == (steps[-1][1] if steps else t), (name, fuel)
+            terminal = want[-1][1] if want else t
+            assert res == (want_total, terminal, len(want)), (name, fuel)
+        assert trace(t, 64).steps == tuple(ref[:64]), name
 
 
-def substitution_tripwire(monkeypatch, limit):
-    """Count substitutions (each fix unfolding is one); fail past limit."""
+def step_tripwire(monkeypatch, limit):
+    """Count machine transitions; fail past limit.  Substitutions cannot
+    stand in for them: a loop whose unfoldings all hit the memo makes none."""
     calls = []
-    real = sx.subst
+    real = mc._Runner.step
 
-    def counted(*args):
+    def counted(self):
         calls.append(1)
         assert len(calls) <= limit, "the run did not recognise its repeat"
-        return real(*args)
+        return real(self)
 
-    monkeypatch.setattr(sx, "subst", counted)
+    monkeypatch.setattr(mc._Runner, "step", counted)
     return calls
 
 
@@ -325,10 +345,25 @@ def test_run_recognises_a_repeating_fix(monkeypatch, name):
     """grow_loop's frame stack grows by one bind per unfolding, yet nothing
     below the mark is ever popped: a repeat all the same."""
     t = dict(hz.load_corpus())[f"{name}.pcf"]
-    calls = substitution_tripwire(monkeypatch, 10)
+    calls = step_tripwire(monkeypatch, 10)
     assert run(t, 10**9) is None
     assert profile(t, 10**9) == Exhausted(10**9)
-    assert len(calls) <= 2
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("src", [
+    # The inner fix is rebuilt by every outer unfolding; the memo makes the
+    # rebuilt nodes identical, so the mark lands on a node that comes back.
+    "(fix x (step 3 (fix x1 (step 0 (step 1 x)))))",
+    # Pops its ap frame and pushes one with the identical argument: the
+    # whole state repeats, frames included, though a marked frame was popped.
+    "(ap (fix r (lam nat x (ap r x))) zero)",
+])
+def test_run_recognises_a_repeating_machine_state(monkeypatch, src):
+    t = parse(src)
+    calls = step_tripwire(monkeypatch, 10)
+    assert run(t, 10**9) is None
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("name", ["countdown3", "countdown5", "ackermann"])
@@ -358,3 +393,38 @@ def test_trace_without_terms_keeps_costs_and_total():
     assert [c for c, _ in bare.steps] == [c for c, _ in full.steps]
     assert all(s is None for _, s in bare.steps)
     assert (bare.total, bare.truncated) == (full.total, full.truncated) == (5, False)
+
+
+COUNTING_LOOP = "(ap (fix f (lam nat n (step 1 (ap f (succ n))))) zero)"
+ADD_300_4 = ("(ap (ap (fix f (lam nat m (lam nat n (ifz m (ret n) p "
+             "(step 1 (bind (ap (ap f p) n) r (ret (succ r)))))))) 300) 4)")
+
+
+def memo_sizes(t, fuel):
+    """Step a watched runner, as `run` does; the memo's size after each step."""
+    runner = mc._Runner(t, DEFAULT_MODEL, watch=True)
+    sizes = []
+    for _ in range(fuel):
+        if runner.step() is None:
+            break
+        sizes.append(len(runner.memo))
+    return sizes
+
+
+def test_memo_is_exact_across_a_clear():
+    t = parse(ADD_300_4)
+    sizes = memo_sizes(t, 100_000)
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), "the memo was never cleared"
+    ref, done = out_steps(t, len(sizes))
+    assert done
+    assert run(t, 100_000) == (sum(c for c, _ in ref), ref[-1][1], len(ref))
+    assert sx.print_term(ref[-1][1]) == "(ret 304)"
+
+
+def test_memo_never_holds_more_than_its_cap():
+    """A loop on ever new numerals misses on every argument it substitutes."""
+    t = parse(COUNTING_LOOP)
+    sizes = memo_sizes(t, 100_000)
+    assert len(sizes) == 100_000
+    assert max(sizes) == mc.SUBST_MEMO_CAP
+    assert run(t, 5000) is None
