@@ -1,21 +1,20 @@
-"""Benchmark a base commit against the working tree and write BENCH_<n>.json.
+"""Benchmark a base commit against HEAD and write BENCH_<n>.json.
 
-    python3 bench/compare.py --base <rev> --out BENCH_6.json \
-        [--runs battery:1 scaled_eval:1 scaled_eval:47 frontend:47] \
-        [--pairs 10] [--seconds 35]
+    python3 bench/compare.py --base <rev> --out BENCH_6.json
 
-Run from the root of a checkout.  The base commit's committed files are
-exported with `git archive` into a temporary directory, so both sides run
-the same `perfbench/run.py` command, each from its own tree, and nothing is
-registered in the repository.  For each workload:seed in --runs, --pairs
-pairs of untraced runs (`--trace 0`) alternate which side runs first; then
-each side makes one traced run (`--trace 1`, TRACED_SECONDS long) for the
-per-layer counts.
+Run from the root of a checkout.  The committed files of both commits are
+exported with `git archive` into a temporary directory, so each side runs
+the same `perfbench/run.py` command from its own tree, the change side is
+exactly HEAD (uncommitted edits are not measured; commit them first), and
+nothing is registered in the repository.  For each workload:seed in RUNS,
+PAIRS pairs of untraced runs (`--trace 0`, BENCHMARK.json's `run_seconds`
+long) alternate which side runs first; then each side makes one traced run
+(`--trace 1`, TRACED_SECONDS long) for the per-layer counts.
 
-The JSON holds every run's result line, and per workload, seed and
-end-to-end metric: each side's median and quartiles, the ratio of the
-medians with its base (the base commit's median), and how many pairs the
-working tree won (ties count for neither side).
+The JSON holds both commits' shas, every run's result line, and per
+workload, seed and end-to-end metric: each side's median and quartiles, the
+ratio of the medians with its base (the base commit's median), and how many
+pairs HEAD won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -32,6 +31,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Ten pairs per row: the fewest from which a gain on nine of ten can be read.
+PAIRS = 10
+
+# workload:seed rows.  battery ignores its seed; 47 is the held-out seed.
+RUNS = ("battery:1", "scaled_eval:1", "scaled_eval:47", "frontend:47")
 
 # The per-layer counts repeat exactly from pass to pass, so a short traced
 # run is enough.
@@ -70,7 +75,7 @@ def quartiles(values):
 
 def summarise(pairs, metrics):
     """Per metric: each side's median and quartiles, the ratio and its base,
-    and the working tree's wins over the pairs."""
+    and HEAD's wins over the pairs."""
     out = {}
     for m in metrics:
         name, better = m["name"], m["better"]
@@ -89,42 +94,40 @@ def summarise(pairs, metrics):
     return out
 
 
+def rev_parse(rev):
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def main(argv=None):
     bench = load_benchmark()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", required=True, help="commit the working tree is compared with")
+    ap.add_argument("--base", required=True, help="commit HEAD is compared with")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    ap.add_argument("--runs", nargs="+",
-                    default=["battery:1", "scaled_eval:1", "scaled_eval:47", "frontend:47"],
-                    help="workload:seed pairs")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
 
     command = bench["command"]
-    base_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
-                              check=True, capture_output=True, text=True).stdout.strip()
-    head_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                              check=True, capture_output=True, text=True).stdout.strip()
+    seconds = bench["run_seconds"]
+    shas = {"base": rev_parse(args.base), "change": rev_parse("HEAD")}
     result = {
-        "base": base_sha,
-        "change": f"working tree at {head_sha}",
+        "base": shas["base"],
+        "change": shas["change"],
         "command": command,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "traced_seconds": TRACED_SECONDS,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"base": export(base_sha, tmp), "change": ROOT}
-        for spec in args.runs:
+        sides = {side: export(sha, Path(tmp) / side) for side, sha in shas.items()}
+        for spec in RUNS:
             workload, seed = spec.split(":")
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_once(command, sides[side], workload, seed, args.seconds, 0)
+                    pair[side] = run_once(command, sides[side], workload, seed, seconds, 0)
                     print(f"{workload}:{seed} pair {i} {side}: "
                           f"wall_s {pair[side]['metrics']['wall_s']['value']:.4f}",
                           file=sys.stderr, flush=True)

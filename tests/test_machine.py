@@ -279,8 +279,9 @@ def test_extensional_phase_seals_profile():
 # ---------------------------------------------------------------------------
 # Repeat check and substitution memo: `run` may answer None early, but only
 # where the whole budget answers None too, and `run` and `trace` reuse
-# substitutions.  The reference iterates `out`, which builds a fresh runner,
-# and so a fresh memo, for every transition.
+# substitutions.  The reference steps a runner whose substitutions bypass
+# the memo; `out`, which builds a fresh runner, and so a fresh memo, for
+# every transition, checks the terms of the first steps.
 
 EXACT_FUELS = (0, 1, 2, 3, 7, 64, 2000)
 
@@ -293,36 +294,47 @@ def exactness_programs():
     return programs
 
 
+def plain_steps(t, fuel):
+    """The costs of t's transitions within fuel, stepped without the memo,
+    and the terminal reached, or None if there is none within fuel."""
+    runner = mc._Runner(t, DEFAULT_MODEL)
+    runner.subst = sx.subst
+    costs = []
+    for _ in range(fuel):
+        cost = runner.step()
+        if cost is None:
+            break
+        costs.append(cost)
+    return costs, runner.focus if runner.at_terminal() else None
+
+
 def out_steps(t, fuel):
-    """The (cost, term) transitions of t within fuel, by iterating `out`,
-    and whether t is terminal after them."""
+    """The (cost, term) transitions of t within fuel, by iterating `out`."""
     steps = []
     for _ in range(fuel):
         nxt = out(t)
         if isinstance(nxt, Terminal):
-            return steps, True
+            break
         t = nxt.term
         steps.append((nxt.cost, t))
-    return steps, isinstance(out(t), Terminal)
+    return steps
 
 
 def test_run_matches_a_plain_step_loop():
     for name, t in exactness_programs():
-        ref, done = out_steps(t, max(EXACT_FUELS))
+        ref, terminal = plain_steps(t, max(EXACT_FUELS))
         for fuel in EXACT_FUELS:
             want = ref[:fuel]
-            want_total = sum(c for c, _ in want)
-            want_done = done and len(ref) <= fuel
+            want_done = terminal is not None and len(ref) <= fuel
             tr = trace(t, fuel, terms=False)
-            assert [c for c, _ in tr.steps] == [c for c, _ in want], (name, fuel)
-            assert (tr.total, tr.truncated) == (want_total, not want_done), (name, fuel)
+            assert [c for c, _ in tr.steps] == want, (name, fuel)
+            assert (tr.total, tr.truncated) == (sum(want), not want_done), (name, fuel)
             res = run(t, fuel)
             if not want_done:
                 assert res is None, (name, fuel)
                 continue
-            terminal = want[-1][1] if want else t
-            assert res == (want_total, terminal, len(want)), (name, fuel)
-        assert trace(t, 64).steps == tuple(ref[:64]), name
+            assert res == (sum(want), terminal, len(want)), (name, fuel)
+        assert trace(t, 64).steps == tuple(out_steps(t, 64)), name
 
 
 def step_tripwire(monkeypatch, limit):
@@ -415,10 +427,10 @@ def test_memo_is_exact_across_a_clear():
     t = parse(ADD_300_4)
     sizes = memo_sizes(t, 100_000)
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "the memo was never cleared"
-    ref, done = out_steps(t, len(sizes))
-    assert done
-    assert run(t, 100_000) == (sum(c for c, _ in ref), ref[-1][1], len(ref))
-    assert sx.print_term(ref[-1][1]) == "(ret 304)"
+    ref, terminal = plain_steps(t, 100_000)
+    assert len(ref) == len(sizes)
+    assert run(t, 100_000) == (sum(ref), terminal, len(ref))
+    assert sx.print_term(terminal) == "(ret 304)"
 
 
 def test_memo_never_holds_more_than_its_cap():
