@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user error (bad flags, unreadable/ill-typed input),
-2 check/adequacy failure, 3 internal error.  All machine-facing output is
+Exit codes: 0 success, 1 user error (bad flags, unreadable/ill-typed input,
+input nested too deep for the Python stack), 2 check/adequacy failure,
+3 internal error.  All machine-facing output is
 single-line compact JSON so repeated runs are byte-comparable; --pretty
 switches the single-file commands to a short human-readable line.
 """
@@ -19,6 +20,7 @@ from . import machine as mc
 from . import syntax as sx
 from .cost import CostModel, Phase, get_monoid
 from .harness import SUITES, adequacy_verdict, run_suite
+from .outcome import Defined
 from .typecheck import TypeCheckError, check_program, infer, show_type
 
 DEFAULT_FUEL = 100_000
@@ -152,20 +154,19 @@ def profile(path, fuel, monoid, phase, as_json):
     t = _load(path, model)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     res = mc.profile(t, fuel, model)
-    if isinstance(res, mc.Defined):
+    if res is mc.MISMATCH:
+        _emit({"error": "internal", "msg": "profile reached a non-unit terminal"})
+        return 3
+    if isinstance(res, Defined):
         if as_json:
             _emit({"status": "defined", "cost": model.to_json(res.cost)})
         else:
             click.echo(f"defined, cost {model.show(res.cost)}")
-        return 0
-    if isinstance(res, mc.Exhausted):
-        if as_json:
-            _emit({"status": "exhausted", "fuel": res.fuel_used})
-        else:
-            click.echo(f"exhausted at fuel {res.fuel_used}")
-        return 0
-    _emit({"error": "internal", "msg": "profile reached a non-unit terminal"})
-    return 3
+    elif as_json:
+        _emit({"status": "exhausted", "fuel": fuel})
+    else:
+        click.echo(f"exhausted at fuel {fuel}")
+    return 0
 
 
 @cli.command()
@@ -189,7 +190,7 @@ def denote(path, fuel, monoid, phase, as_json):
         _emit({"error": "type", "at": [], "msg": "denote requires a returner (F) program"})
         return 1
     obs = dn.observe(dn.denote_closed(t, model).to_delay(), fuel, model)
-    if isinstance(obs, dn.Defined):
+    if isinstance(obs, Defined):
         payload = {"status": "defined", "cost": model.to_json(obs.cost),
                    "value": dn.ground_json(obs.value)}
     else:
@@ -215,10 +216,10 @@ def adequacy(path, fuel, monoid, phase, as_json):
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     verdict, m, d, fuel = adequacy_verdict(t, fuel, model)
     machine_part = ({"status": "defined", "cost": model.to_json(m.cost)}
-                    if isinstance(m, mc.Defined)
+                    if isinstance(m, Defined)
                     else {"status": "exhausted", "fuel": fuel})
     denote_part = ({"status": "defined", "cost": model.to_json(d.cost)}
-                   if isinstance(d, dn.Defined)
+                   if isinstance(d, Defined)
                    else {"status": "exhausted"})
     agree = verdict is None
     payload = {"agree": agree, "machine": machine_part, "denotation": denote_part}
@@ -268,6 +269,9 @@ def main(argv=None) -> int:
         return 1
     except TypeCheckError as e:
         _emit(e.to_json())
+        return 1
+    except RecursionError as e:
+        _emit({"error": "depth", "msg": str(e)})
         return 1
     except mc.StuckError as e:
         _emit({"error": "internal", "msg": f"machine stuck at {sx.print_term(e.term)}"})

@@ -13,8 +13,8 @@ Fixed points unfold lazily: each re-entry into a `fix` body goes through a
 guard that costs exactly one Later, making every denotation productive and
 observation fuel-monotone.  A guard builds its Later once and every
 re-entry shares it; fuel is still charged per unwrap, never per object.
-`observe` stops early, with the answer the whole budget would give, once it
-meets the same Later again in a state that proves it repeats forever.
+`observe` stops early and answers Diverges once it meets the same Later
+again in a state that proves it repeats forever.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from typing import Callable
 
 from . import syntax as sx
 from .cost import DEFAULT_MODEL, CostModel
+# Callers also read the outcome classes here, as dn.Defined and so on.
+from .outcome import DIVERGES, EXHAUSTED, Defined, Diverges, Exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -119,37 +121,21 @@ def bindT(d, k):
     return _Seq(d, k)
 
 
-# Observation results
-
-@dataclass(frozen=True)
-class Defined:
-    cost: object
-    value: object
-
-
-@dataclass(frozen=True)
-class Exhausted:
-    def __repr__(self) -> str:
-        return "Exhausted"
-
-
-EXHAUSTED = Exhausted()
-
-
 def _unwind(d, fuel, model):
-    """Unwrap at most `fuel` Laters of d: (Defined or EXHAUSTED, Laters used).
+    """Unwrap at most `fuel` Laters of d: (outcome, Laters used), the
+    outcome Defined(cost, value), Diverges or Exhausted.
 
     Dispatch is on exact node type, Later first.  Later is read per call (a
     tracer may swap in a counting subclass); other subclasses of it take the
     isinstance fallback once and are then dispatched as Later.
 
-    A delay that provably repeats forever answers (EXHAUSTED, fuel) at once,
-    as the full budget would: at each power-of-two count of unwraps the
-    Later and the continuation stack height are marked.  If the same Later
-    (by identity) comes back while none of the continuations present at the
-    mark has been popped, the unwinding since the mark used only that Later
-    and the continuations it pushed itself; thunks and continuations are
-    pure, so it recurs without end."""
+    A delay that provably repeats forever answers Diverges at once: at each
+    power-of-two count of unwraps the Later and the continuation stack
+    height are marked.  If the same Later (by identity) comes back while
+    none of the continuations present at the mark has been popped, the
+    unwinding since the mark used only that Later and the continuations it
+    pushed itself; thunks and continuations are pure, so it recurs without
+    end."""
     later = Later
     add = model.add
     pending = model.zero()
@@ -165,7 +151,7 @@ def _unwind(d, fuel, model):
             if used >= fuel:
                 return EXHAUSTED, used
             if d is mark and low >= mark_height:
-                return EXHAUSTED, fuel
+                return DIVERGES, used
             used += 1
             if not used & (used - 1):
                 mark = d
@@ -191,7 +177,8 @@ def _unwind(d, fuel, model):
 
 
 def observe(d, fuel: int, model: CostModel = DEFAULT_MODEL):
-    """Unwrap at most `fuel` Laters; Defined answers are fuel-monotone.
+    """Unwrap at most `fuel` Laters: Defined, Diverges or Exhausted.  Defined
+    and Diverges answers are fuel-monotone.
 
     Costs accumulate left-to-right in encounter order, which is evaluation
     order, so non-commutative monoids are respected.
@@ -205,7 +192,7 @@ def laters_needed(d, limit: int, model: CostModel = DEFAULT_MODEL):
     Used by tests asserting that combinators preserve Later structure.
     """
     outcome, used = _unwind(d, limit, model)
-    return None if outcome is EXHAUSTED else used
+    return used if isinstance(outcome, Defined) else None
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from . import denote as dn
 from . import machine as mc
 from . import syntax as sx
 from .cost import DEFAULT_MODEL, NAT_MONOID, CostModel, Phase
+from .outcome import DIVERGES, EXHAUSTED, Defined
 from .typecheck import TypeCheckError, check_program, infer
 
 
@@ -269,29 +270,58 @@ def load_corpus():
 
 
 # ---------------------------------------------------------------------------
-# Shared comparison helpers
+# Agreement: one comparison and one retry rule, shared by every suite
 
-def _obs_agree(o1, o2, lhs, rhs, fuel, model):
-    """Agreement of observations o1, o2 of delays lhs, rhs at `fuel`.
+RETRY_FACTOR = 4
 
-    Returns (ok, detail).  Agreement: both Defined with equal cost and equal
-    ground value, or both Exhausted (a one-sided Exhausted is re-observed
-    from its delay at 2x fuel first).
-    """
-    if isinstance(o1, dn.Exhausted) != isinstance(o2, dn.Exhausted):
-        if isinstance(o1, dn.Exhausted):
-            o1 = dn.observe(lhs, 2 * fuel, model)
-        else:
-            o2 = dn.observe(rhs, 2 * fuel, model)
-    if isinstance(o1, dn.Exhausted) and isinstance(o2, dn.Exhausted):
-        return True, ""
-    if isinstance(o1, dn.Exhausted) or isinstance(o2, dn.Exhausted):
-        return False, f"one side exhausted: {o1!r} vs {o2!r}"
-    if not model.eq(o1.cost, o2.cost):
-        return False, f"costs differ: {model.show(o1.cost)} vs {model.show(o2.cost)}"
-    if o1.value != o2.value:
-        return False, f"values differ: {o1.value!r} vs {o2.value!r}"
-    return True, ""
+
+def disagreement(o1, o2, model):
+    """Why outcomes o1 and o2 disagree, or None when they agree.
+
+    Two Defined outcomes agree when their costs are equal (`model.eq`) and
+    so are their values.  A Defined outcome disagrees with any other; two
+    that are not Defined (Diverges or Exhausted) agree: neither settled."""
+    d1, d2 = isinstance(o1, Defined), isinstance(o2, Defined)
+    if d1 and d2:
+        if not model.eq(o1.cost, o2.cost):
+            return f"costs differ: {model.show(o1.cost)} vs {model.show(o2.cost)}"
+        if o1.value != o2.value:
+            return f"values differ: {o1.value!r} vs {o2.value!r}"
+        return None
+    if d1 or d2:
+        return f"definedness differs: {o1!r} vs {o2!r}"
+    return None
+
+
+def agreement(o1, o2, again1, again2, fuel, model):
+    """The one agreement rule for outcomes o1, o2 observed at `fuel`:
+    (disagreement, o1, o2) after at most one retry.
+
+    An Exhausted side facing a Defined one may only be short of fuel, so it
+    is observed once more at RETRY_FACTOR times the fuel, by again1 or
+    again2 (fuel -> outcome).  Diverges facing Defined is a proof that they
+    differ: no fuel can excuse it, so it is never retried."""
+    if o1 is EXHAUSTED and isinstance(o2, Defined):
+        o1 = again1(RETRY_FACTOR * fuel)
+    elif o2 is EXHAUSTED and isinstance(o1, Defined):
+        o2 = again2(RETRY_FACTOR * fuel)
+    return disagreement(o1, o2, model), o1, o2
+
+
+def _charged(c, outcome, model):
+    """The outcome of charge(c, d) given d's: charging keeps Laters."""
+    if isinstance(outcome, Defined):
+        return Defined(model.add(c, outcome.cost), outcome.value)
+    return outcome
+
+
+def _settle(e, fuel, model):
+    """`mc.settle` with a terminal ret(v) replaced by [[v]], so that the
+    machine's outcome compares with an observation of the denotation."""
+    outcome, used = mc.settle(e, fuel, model)
+    if isinstance(outcome, Defined):
+        outcome = Defined(outcome.cost, dn.denote((), outcome.value.arg, (), model))
+    return outcome, used
 
 
 # ---------------------------------------------------------------------------
@@ -337,29 +367,25 @@ def _law_fuels(rng, lhs, rhs, fuel, model):
     return sorted(pts)
 
 
-def _delays_equal_at(lhs, rhs, fuels, model):
-    for f in fuels:
-        o1 = dn.observe(lhs, f, model)
-        o2 = dn.observe(rhs, f, model)
-        e1 = isinstance(o1, dn.Exhausted)
-        e2 = isinstance(o2, dn.Exhausted)
-        if e1 != e2:
-            return False, f"fuel {f}: {o1!r} vs {o2!r}"
-        if not e1:
-            if not model.eq(o1.cost, o2.cost) or o1.value != o2.value:
-                return False, f"fuel {f}: {o1!r} vs {o2!r}"
-    return True, ""
-
-
 def check_laws(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
     """Monad unit/associativity for (eta, bindT), distributive-law coherence,
-    and the three derived cost-algebra laws, as observational equalities."""
+    and the three derived cost-algebra laws, as observational equalities.
+
+    Each law compares its two sides at fixed fuels, with no retry: there
+    Diverges and Exhausted both mean "not Defined within that fuel"."""
     rng = random.Random(seed)
     failures = []
     m = model.monoid
 
     def fail(case, detail, parts=()):
         failures.append(Failure(case, tuple(parts), detail, fuel))
+
+    def law(case, lhs, rhs):
+        for f in _law_fuels(rng, lhs, rhs, fuel, model):
+            o1, o2 = dn.observe(lhs, f, model), dn.observe(rhs, f, model)
+            if disagreement(o1, o2, model):
+                fail(case, f"fuel {f}: {o1!r} vs {o2!r}")
+                return
 
     for i in range(cases):
         a = dn.VNum(rng.randint(0, 9))
@@ -369,21 +395,12 @@ def check_laws(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRepo
         g = _gen_kont(rng, model, 3)
 
         # Monad left unit: bindT(eta a, k) = k a.
-        lhs, rhs = dn.bindT(dn.eta(a, model), k), k(a)
-        ok, why = _delays_equal_at(lhs, rhs, _law_fuels(rng, lhs, rhs, fuel, model), model)
-        if not ok:
-            fail(f"left-unit[{i}]", why)
+        law(f"left-unit[{i}]", dn.bindT(dn.eta(a, model), k), k(a))
         # Monad right unit: bindT(d, eta) = d.
-        lhs, rhs = dn.bindT(d, lambda v: dn.eta(v, model)), d
-        ok, why = _delays_equal_at(lhs, rhs, _law_fuels(rng, lhs, rhs, fuel, model), model)
-        if not ok:
-            fail(f"right-unit[{i}]", why)
+        law(f"right-unit[{i}]", dn.bindT(d, lambda v: dn.eta(v, model)), d)
         # Monad associativity.
-        lhs = dn.bindT(dn.bindT(d, k), g)
-        rhs = dn.bindT(d, lambda v: dn.bindT(k(v), g))
-        ok, why = _delays_equal_at(lhs, rhs, _law_fuels(rng, lhs, rhs, fuel, model), model)
-        if not ok:
-            fail(f"assoc[{i}]", why)
+        law(f"assoc[{i}]", dn.bindT(dn.bindT(d, k), g),
+            dn.bindT(d, lambda v: dn.bindT(k(v), g)))
         # Distributive-law coherence: charging commutes with the delay
         # structure: it never changes the fuel needed, and on a settled
         # computation it adds on the left.
@@ -394,26 +411,16 @@ def check_laws(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRepo
             fail(f"dist-fuel[{i}]", f"laters changed {n_d} -> {n_ch}")
         o_d = dn.observe(d, fuel, model)
         o_ch = dn.observe(ch, fuel, model)
-        if isinstance(o_d, dn.Defined) != isinstance(o_ch, dn.Defined):
-            fail(f"dist-support[{i}]", f"{o_d!r} vs {o_ch!r}")
-        elif isinstance(o_d, dn.Defined):
-            want = model.add(c, o_d.cost)
-            if not model.eq(o_ch.cost, want) or o_ch.value != o_d.value:
-                fail(f"dist-cost[{i}]", f"{o_ch!r} vs charge {model.show(c)} over {o_d!r}")
+        if disagreement(o_ch, _charged(c, o_d, model), model):
+            fail(f"dist-charge[{i}]", f"{o_ch!r} vs charge {model.show(c)} over {o_d!r}")
         # Algebra law: f#(c (+) e) = c (+) f#(e).
-        lhs = dn.bindT(dn.charge(c, d, model), k)
-        rhs = dn.charge(c, dn.bindT(d, k), model)
-        ok, why = _delays_equal_at(lhs, rhs, _law_fuels(rng, lhs, rhs, fuel, model), model)
-        if not ok:
-            fail(f"algebra-bind[{i}]", why)
+        law(f"algebra-bind[{i}]", dn.bindT(dn.charge(c, d, model), k),
+            dn.charge(c, dn.bindT(d, k), model))
         # Algebra law at arrows: (c (+) f)(a) = c (+) (f a).
         inner_c = m.sample(rng, 0, 9)
         fn = dn.FunComp(lambda v, _c=inner_c: dn.FComp(dn.charge(_c, dn.eta(v, model), model)))
-        lhs = dn.ChargeComp(c, fn, model).apply(a).to_delay()
-        rhs = dn.charge(c, fn.apply(a).to_delay(), model)
-        ok, why = _delays_equal_at(lhs, rhs, _law_fuels(rng, lhs, rhs, fuel, model), model)
-        if not ok:
-            fail(f"algebra-apply[{i}]", why)
+        law(f"algebra-apply[{i}]", dn.ChargeComp(c, fn, model).apply(a).to_delay(),
+            dn.charge(c, fn.apply(a).to_delay(), model))
 
     return CheckReport("laws", cases, tuple(failures))
 
@@ -438,7 +445,8 @@ def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL
     """Machine-only metatheory on generated programs: `out` is deterministic,
     every state within step_cap steps preserves the initial type, and eval is
     functional and fuel-monotone (Defined exactly from the settling fuel on,
-    Mismatch at a different ground target, Exhausted while unsettled).
+    Mismatch at a different ground target, Diverges or Exhausted while
+    unsettled).
 
     It is not in SUITES: `check all` stdout is a pinned byte-for-byte oracle
     (perfbench reads the suite list through SUITES too), and the battery would
@@ -490,24 +498,25 @@ def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL
         res = mc.run(e, fuel, model)
         if res is not None:
             total, terminal, used = res
+            settled = Defined(total, terminal)
             o_exact = mc.eval_term(e, terminal, used, model)
-            if o_exact != mc.Defined(total):
+            if o_exact != settled:
                 failures.append(Failure(
                     name, (printed,), f"eval at exact fuel {used}: {o_exact!r}", fuel))
             o_more = mc.eval_term(e, terminal, used + rng.randint(1, 50), model)
-            if o_more != mc.Defined(total):
+            if o_more != settled:
                 failures.append(Failure(
                     name, (printed,), f"eval not fuel-monotone: {o_more!r}", fuel))
             if used > 0:
                 o_less = mc.eval_term(e, terminal, rng.randrange(used), model)
-                if isinstance(o_less, mc.Defined):
+                if isinstance(o_less, Defined):
                     failures.append(Failure(
                         name, (printed,), "eval Defined below the settling fuel", fuel))
             if isinstance(terminal, sx.Ret):
                 other = _tweak_ground(terminal.arg)
                 if other is not None:
                     o_other = mc.eval_term(e, sx.Ret(other), fuel, model)
-                    if isinstance(o_other, mc.Defined):
+                    if isinstance(o_other, Defined):
                         failures.append(Failure(
                             name, (printed,),
                             "eval functional violation: Defined at two targets", fuel))
@@ -517,7 +526,7 @@ def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL
         else:
             small = rng.randint(0, 30)
             o_small = mc.eval_term(e, sx.Ret(sx.TRIV), small, model)
-            if o_small != mc.Exhausted(small):
+            if o_small not in (DIVERGES, EXHAUSTED):
                 failures.append(Failure(
                     name, (printed,),
                     f"unsettled program gave {o_small!r} at fuel {small}", fuel))
@@ -548,13 +557,16 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
     """Per transition e -> (c, e'): [[e]] = c (+) [[e']].  Per terminating
     program with terminal v: [[e]] = Defined(machine cost, [[v]]).
 
+    Per program that does not settle: the machine and [[e]] both diverge
+    or run out of fuel.  Both checks use the one agreement rule.
+
     Terminating programs get every transition checked; divergent ones are
     capped at divergent_step_cap transitions (their transition graphs are
     cyclic modulo substitution, so a small prefix already covers each rule).
     Each [[e_k]] along the run is observed once and shared by the two
-    transitions it borders; only a one-sided Exhausted re-observes, at 2x.
-    `programs` holds (name, term) pairs; ground returner types get the full
-    check, other types only the vacuous terminal cases.
+    transitions it borders.  `programs` holds (name, term) pairs; ground
+    returner types get the full check, other types only the vacuous
+    terminal cases.
     """
     failures = []
     if divergent_observe_fuel is None:
@@ -566,15 +578,14 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
             continue
         printed = sx.print_term(e)
 
-        res = mc.run(e, fuel, model)
-        diverged = res is None
-        cap = divergent_step_cap if diverged else res[2]
+        machine, used = _settle(e, fuel, model)
+        diverged = not isinstance(machine, Defined)
+        cap = divergent_step_cap if diverged else used
         obs_fuel = divergent_observe_fuel if diverged else fuel
 
         # Prop: one transition preserves the denotation up to charging.
-        # charge keeps Laters, so c (+) obs([[e']]) is exactly obs(c (+) [[e']]).
         cur = e
-        lhs = dn.denote_closed(e, model).to_delay()
+        whole = lhs = dn.denote_closed(e, model).to_delay()
         obs = o_lhs = dn.observe(lhs, obs_fuel, model)
         for stepno in range(cap):
             r = mc.out(cur, model)
@@ -582,11 +593,11 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
                 break
             nxt = dn.denote_closed(r.term, model).to_delay()
             o_nxt = dn.observe(nxt, obs_fuel, model)
-            o_rhs = (dn.Defined(model.add(r.cost, o_nxt.cost), o_nxt.value)
-                     if isinstance(o_nxt, dn.Defined) else o_nxt)
-            ok, why = _obs_agree(o_lhs, o_rhs, lhs, dn.charge(r.cost, nxt, model),
-                                 obs_fuel, model)
-            if not ok:
+            why = agreement(o_lhs, _charged(r.cost, o_nxt, model),
+                            lambda f: dn.observe(lhs, f, model),
+                            lambda f: _charged(r.cost, dn.observe(nxt, f, model), model),
+                            obs_fuel, model)[0]
+            if why:
                 failures.append(Failure(
                     f"per-step:{name}", (printed, sx.print_term(cur)),
                     f"transition {stepno}: {why}", obs_fuel))
@@ -594,23 +605,10 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
             cur, lhs, o_lhs = r.term, nxt, o_nxt
 
         # Thm: machine evaluation is reflected exactly in the denotation.
-        # Terminating programs have obs_fuel == fuel: `obs` observed [[e]].
-        if not diverged:
-            total, terminal, _used = res
-            if isinstance(obs, dn.Exhausted):
-                failures.append(Failure(
-                    f"big-step:{name}", (printed,),
-                    f"machine Defined({model.show(total)}) but denotation exhausted", fuel))
-            else:
-                want_value = dn.denote((), terminal.arg, (), model)
-                if not model.eq(obs.cost, total):
-                    failures.append(Failure(
-                        f"big-step:{name}", (printed,),
-                        f"cost {model.show(obs.cost)} != machine {model.show(total)}", fuel))
-                elif obs.value != want_value:
-                    failures.append(Failure(
-                        f"big-step:{name}", (printed,),
-                        f"value {obs.value!r} != {want_value!r}", fuel))
+        why = agreement(obs, machine, lambda f: dn.observe(whole, f, model),
+                        lambda f: _settle(e, f, model)[0], fuel, model)[0]
+        if why:
+            failures.append(Failure(f"big-step:{name}", (printed,), why, fuel))
     return CheckReport("soundness", cases, tuple(failures))
 
 
@@ -618,11 +616,9 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
 # Suite: adequacy at the observation type
 
 def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
-    """profile(e) and observing [[e]] agree in definedness and exact cost.
-
-    Defined/Exhausted disagreements are retried once at 4x fuel before being
-    reported (machine steps and Laters are structurally different budgets).
-    """
+    """The machine and [[e]] agree by the one agreement rule: in
+    definedness, exact cost and value (machine steps and Laters are
+    different budgets, which the rule's one retry allows for)."""
     failures = []
     cases = 0
     for name, e in programs:
@@ -635,29 +631,20 @@ def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRep
 
 
 def adequacy_verdict(e, fuel, model):
-    """(detail, machine profile, denotation observation, fuel) of the runs
-    decided on; detail is None when they agree."""
-    for f in (fuel, 4 * fuel):
-        m = mc.profile(e, f, model)
-        d = dn.observe(dn.denote_closed(e, model).to_delay(), f, model)
-        agreed, why = _profile_obs_agree(m, d, model)
-        if agreed or not (isinstance(m, mc.Exhausted) or isinstance(d, dn.Exhausted)):
-            break
-    return (None if agreed else why), m, d, f
+    """(detail, machine outcome, denotation outcome, the machine's fuel) of
+    the runs decided on; detail is None when they agree."""
+    delay = dn.denote_closed(e, model).to_delay()
+    fuels = []
 
+    def machine(f):
+        fuels.append(f)
+        return _settle(e, f, model)[0]
 
-def _profile_obs_agree(m, d, model):
-    m_def = isinstance(m, mc.Defined)
-    d_def = isinstance(d, dn.Defined)
-    if m_def and d_def:
-        if model.eq(m.cost, d.cost):
-            return True, ""
-        return False, f"costs differ: machine {model.show(m.cost)} vs denotation {model.show(d.cost)}"
-    if isinstance(m, mc.Mismatch):
-        return False, "profile hit a mismatched terminal (type error upstream)"
-    if not m_def and not d_def:
-        return True, ""
-    return False, f"definedness differs: machine {m!r} vs denotation {d!r}"
+    def denotation(f):
+        return dn.observe(delay, f, model)
+
+    why, m, d = agreement(machine(fuel), denotation(fuel), machine, denotation, fuel, model)
+    return why, m, d, fuels[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +736,7 @@ def check_sequencing_laws(instances, fuel, model: CostModel = DEFAULT_MODEL) -> 
                 got = mc.eval_term(sx.Bind(e, g), term_g, fuel, model)
             else:
                 got = mc.profile(sx.Bind(e, g), fuel, model)
-            if got != mc.Defined(want):
+            if disagreement(got, Defined(want, term_g), model):
                 failures.append(Failure(
                     name, (sx.print_term(e), sx.print_term(g)),
                     f"bind cost {got!r}, expected Defined({model.show(want)})", fuel))
@@ -759,7 +746,7 @@ def check_sequencing_laws(instances, fuel, model: CostModel = DEFAULT_MODEL) -> 
             rhs = sx.Bind(e, sx.Bind(g, sx.shift(i, 1, 1)))
             o1 = mc.profile(lhs, fuel, model)
             o2 = mc.profile(rhs, fuel, model)
-            if o1 != o2 or not isinstance(o1, mc.Defined):
+            if not isinstance(o1, Defined) or disagreement(o1, o2, model):
                 failures.append(Failure(
                     name, tuple(sx.print_term(t) for t in inst.parts),
                     f"profile disagrees: {o1!r} vs {o2!r}", fuel))
@@ -767,20 +754,12 @@ def check_sequencing_laws(instances, fuel, model: CostModel = DEFAULT_MODEL) -> 
             e, g, w = inst.parts
             lhs = sx.Ap(sx.Bind(e, g), w)
             rhs = sx.Bind(e, sx.Ap(g, sx.shift(w, 1)))
-            r1 = mc.run(lhs, fuel, model)
-            r2 = mc.run(rhs, fuel, model)
-            if r1 is None or r2 is None:
+            o1 = mc.settle(lhs, fuel, model)[0]
+            o2 = mc.settle(rhs, fuel, model)[0]
+            if not isinstance(o1, Defined) or disagreement(o1, o2, model):
                 failures.append(Failure(
                     name, tuple(sx.print_term(t) for t in inst.parts),
-                    "application did not settle", fuel))
-                continue
-            c1, t1, _ = r1
-            c2, t2, _ = r2
-            if not model.eq(c1, c2) or t1 != t2:
-                failures.append(Failure(
-                    name, tuple(sx.print_term(t) for t in inst.parts),
-                    f"outcomes differ: ({model.show(c1)}, {sx.print_term(t1)}) vs "
-                    f"({model.show(c2)}, {sx.print_term(t2)})", fuel))
+                    f"outcomes differ: {o1!r} vs {o2!r}", fuel))
     return CheckReport("sequencing", len(instances), tuple(failures))
 
 
@@ -821,7 +800,7 @@ def gen_ni_arg_pairs(seed, count, fuel, model: CostModel = DEFAULT_MODEL):
             terminating=True,
         )
         x = gen_term(cfg)
-        if not isinstance(mc.profile(x, fuel, model), mc.Defined):
+        if not isinstance(mc.profile(x, fuel, model), Defined):
             continue
         if rng.random() < 0.5:
             k = model.monoid.sample(rng, 1, 9)
@@ -835,7 +814,7 @@ def gen_ni_arg_pairs(seed, count, fuel, model: CostModel = DEFAULT_MODEL):
                 terminating=True,
             )
             y = gen_term(cfg2)
-            if not isinstance(mc.profile(y, fuel, model), mc.Defined):
+            if not isinstance(mc.profile(y, fuel, model), Defined):
                 continue
         pairs.append((x, y))
     return pairs
@@ -844,49 +823,36 @@ def gen_ni_arg_pairs(seed, count, fuel, model: CostModel = DEFAULT_MODEL):
 def check_noninterference(functions, args, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
     """Terminating arguments of thunk type differ only in cost, so every
     function U(F unit) -> F ans must send both members of a pair to the same
-    answer (costs may differ).  Each run is repeated under the Extensional
-    phase, where the costs themselves must collapse to the sealed point."""
+    answer: the two runs agree by the one agreement rule with costs sealed
+    (the Extensional model's `eq`).  A pair on which neither run settles is
+    vacuous.  Each run is repeated under the Extensional phase, where the
+    costs themselves must collapse to the sealed point."""
     failures = []
     ext = model.with_phase(Phase.EXTENSIONAL)
     cases = 0
+
+    def fail(name, detail, terms):
+        failures.append(Failure(name, tuple(sx.print_term(t) for t in terms), detail, fuel))
+
     for fidx, f in enumerate(functions):
         for aidx, (x, y) in enumerate(args):
             cases += 1
             name = f"ni[{fidx}/{aidx}]"
-            rx = mc.run(sx.Ap(f, x), fuel, model)
-            ry = mc.run(sx.Ap(f, y), fuel, model)
-            if rx is None or ry is None:
-                rx = rx or mc.run(sx.Ap(f, x), 4 * fuel, model)
-                ry = ry or mc.run(sx.Ap(f, y), 4 * fuel, model)
-            if rx is None or ry is None:
+            fx, fy = sx.Ap(f, x), sx.Ap(f, y)
+            why, ox, _ = agreement(_settle(fx, fuel, model)[0], _settle(fy, fuel, model)[0],
+                                   lambda n: _settle(fx, n, model)[0],
+                                   lambda n: _settle(fy, n, model)[0], fuel, ext)
+            if why:
+                fail(name, f"answers differ: {why}", (f, x, y))
+                continue
+            if not isinstance(ox, Defined):
                 continue  # not a terminating pair for this function; vacuous
-            _, tx, _ = rx
-            _, ty, _ = ry
-            if tx != ty:
-                failures.append(Failure(
-                    name,
-                    (sx.print_term(f), sx.print_term(x), sx.print_term(y)),
-                    f"answers differ: {sx.print_term(tx)} vs {sx.print_term(ty)}",
-                    fuel,
-                ))
-                continue
-            ex = mc.run(sx.Ap(f, x), fuel, ext)
-            ey = mc.run(sx.Ap(f, y), fuel, ext)
-            if ex is None or ey is None or ex[1] != ey[1] or ex[1] != tx:
-                failures.append(Failure(
-                    name,
-                    (sx.print_term(f), sx.print_term(x), sx.print_term(y)),
-                    "extensional rerun changed the answer",
-                    fuel,
-                ))
-                continue
-            if ext.show(ex[0]) != "*" or ext.show(ey[0]) != "*":
-                failures.append(Failure(
-                    name,
-                    (sx.print_term(f),),
-                    "extensional cost failed to seal",
-                    fuel,
-                ))
+            ex = _settle(fx, fuel, ext)[0]
+            ey = _settle(fy, fuel, ext)[0]
+            if disagreement(ex, ox, ext) or disagreement(ey, ox, ext):
+                fail(name, "extensional rerun changed the answer", (f, x, y))
+            elif ext.show(ex.cost) != "*" or ext.show(ey.cost) != "*":
+                fail(name, "extensional cost failed to seal", (f,))
     return CheckReport("noninterference", cases, tuple(failures))
 
 

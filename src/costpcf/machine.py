@@ -23,9 +23,10 @@ pair of node objects: the runner memoises it by identity, so a fix unfolding
 or a numeral substituted into the same body again returns the earlier result,
 the identical object.  The memo holds at most SUBST_MEMO_CAP entries; `out`
 builds a fresh runner, and so a fresh memo, per call.  One fuel unit is one
-fired head rule, which is exactly one `out` transition, hit or miss.  `run`
-stops early, with the answer the whole budget would give, once it proves
-that a fix unfolding repeats forever; `trace` and `out` never do.
+fired head rule, which is exactly one `out` transition, hit or miss.
+`settle`, behind `run`, `eval_term` and `profile`, stops early and answers
+Diverges once it proves that a fix unfolding repeats forever; `trace` and
+`out` never do.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Optional
 
 from . import syntax as sx
 from .cost import DEFAULT_MODEL, CostModel
+from .outcome import DIVERGES, EXHAUSTED, Defined
 
 
 class StuckError(Exception):
@@ -63,21 +65,9 @@ StepResult = object  # Terminal | Next
 
 
 @dataclass(frozen=True)
-class Defined:
-    cost: object
-
-
-@dataclass(frozen=True)
 class Mismatch:
-    pass
+    """eval_term's answer for a terminal other than the target."""
 
-
-@dataclass(frozen=True)
-class Exhausted:
-    fuel_used: int
-
-
-CostedOutcome = object  # Defined | Mismatch | Exhausted
 
 MISMATCH = Mismatch()
 
@@ -266,12 +256,12 @@ def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL, terms: bool = True) ->
     return Trace(tuple(steps), total, not runner.at_terminal())
 
 
-def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
-    """Drive e to a terminal within fuel.
+def settle(e, fuel: int, model: CostModel = DEFAULT_MODEL):
+    """Drive e towards a terminal within fuel: (outcome, steps used).
 
-    Returns (total cost, terminal term, steps used) or None when the budget
-    is exhausted first.  A run that provably repeats forever answers None
-    at once, as the full budget would: at each power-of-two count of fix
+    The outcome is Defined(total cost, terminal term), Diverges, or
+    Exhausted when the budget runs out first.  A run that provably repeats
+    forever answers Diverges at once: at each power-of-two count of fix
     unfoldings the runner marks the fix node, the frame stack height and a
     copy of the frames (Brent's cycle detection).  When the same node (by
     identity) is unfolded again, the run repeats without end in two cases.
@@ -283,8 +273,10 @@ def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
     whole machine state is the marked one.  Identity implies structural
     equality, so both are exact; the substitution memo (see the module
     docstring) makes equal unfoldings identical, so loops that rebuild an
-    inner fix or pass an argument on unchanged are caught too.  `trace` and
-    `out` never take this shortcut.
+    inner fix or pass an argument on unchanged are caught too.  The loop
+    only stops short of its budget at a terminal or at such a repeat, so
+    which one it was is read off once, after the loop.  `trace` and `out`
+    never take this shortcut.
     """
     runner = _Runner(e, model, watch=True)
     total = model.zero()
@@ -296,25 +288,31 @@ def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
         total = model.add(total, cost)
         used += 1
     if runner.at_terminal():
-        return total, runner.focus, used
+        return Defined(total, runner.focus), used
+    return (DIVERGES if used < fuel else EXHAUSTED), used
+
+
+def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
+    """`settle` as (total cost, terminal term, steps used), or None when e
+    does not settle within fuel (it diverges or the budget runs out)."""
+    outcome, used = settle(e, fuel, model)
+    if isinstance(outcome, Defined):
+        return outcome.cost, outcome.value, used
     return None
 
 
-def eval_term(e, v, fuel: int, model: CostModel = DEFAULT_MODEL) -> CostedOutcome:
+def eval_term(e, v, fuel: int, model: CostModel = DEFAULT_MODEL):
     """Run e and compare its terminal against the target terminal v.
 
-    Defined(cost) when the terminal structurally equals v; Mismatch when it
-    differs; Exhausted(fuel) when the budget runs out first.
+    Defined(cost, v) when the terminal structurally equals v; Mismatch when
+    it differs; otherwise `settle`'s Diverges or Exhausted.
     """
-    res = run(e, fuel, model)
-    if res is None:
-        return Exhausted(fuel)
-    total, terminal, _used = res
-    if terminal == v:
-        return Defined(total)
-    return MISMATCH
+    outcome = settle(e, fuel, model)[0]
+    if isinstance(outcome, Defined) and outcome.value != v:
+        return MISMATCH
+    return outcome
 
 
-def profile(e, fuel: int, model: CostModel = DEFAULT_MODEL) -> CostedOutcome:
+def profile(e, fuel: int, model: CostModel = DEFAULT_MODEL):
     """eval against ret(triv): the cost profile of a unit-typed computation."""
     return eval_term(e, sx.Ret(sx.TRIV), fuel, model)

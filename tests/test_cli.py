@@ -85,13 +85,28 @@ def test_typecheck_parse_error_position(capsys, pcf):
         assert (blob["error"], blob["line"], blob["column"]) == ("parse", line, column), src
 
 
-@pytest.mark.parametrize("command", ["typecheck", "step", "profile", "denote", "adequacy"])
-@pytest.mark.parametrize("src, error", [
+FILE_COMMANDS = ["typecheck", "step", "profile", "denote", "adequacy"]
+USER_ERRORS = [
     ("(bind (ret zero) x", "parse"),
     ("(ap (ret zero) zero)", "type"),
-])
-def test_file_commands_report_user_errors_as_one_json_line(capsys, pcf, command, src, error):
-    rc, out, err = run_main(capsys, command, pcf(src))
+    # typechecking recurses once per succ of the numeral
+    ("(bind (ret 1200) x (ret triv))", "depth"),
+]
+# (argv, source or corpus program, error): every file command on each
+# source above, then inputs that only one command fails on.
+USER_ERROR_CASES = [([command], src, error)
+                    for src, error in USER_ERRORS for command in FILE_COMMANDS] + [
+    # by step 2000 the term is a bind spine 2000 deep, and printing recurses
+    (["step", "--fuel", "2000", "--trace"], "grow_loop.pcf", "depth"),
+]
+
+
+@pytest.mark.parametrize("argv, src, error", USER_ERROR_CASES,
+                         ids=[f"{src}-{error}-{' '.join(argv)}"
+                              for argv, src, error in USER_ERROR_CASES])
+def test_file_commands_report_user_errors_as_one_json_line(capsys, pcf, argv, src, error):
+    path = corpus_path(src) if src.endswith(".pcf") else pcf(src)
+    rc, out, err = run_main(capsys, argv[0], path, *argv[1:])
     assert rc == 1
     assert err == ""
     assert out.count("\n") == 1

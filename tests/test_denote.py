@@ -17,7 +17,7 @@ import costpcf.machine as mc
 import costpcf.syntax as sx
 from costpcf.cost import DEFAULT_MODEL, Phase
 from costpcf.denote import (
-    Done, EXHAUSTED, FComp, FunComp, Later, VBool, VNum, VThunk, VTriv,
+    DIVERGES, Done, EXHAUSTED, FComp, FunComp, Later, VBool, VNum, VThunk, VTriv,
     bindT, bottom, charge, denote, denote_closed, eta, ground_json,
     laters_needed, observe,
 )
@@ -34,11 +34,10 @@ def delays_equal(lhs, rhs, probe=120):
             pts.update({max(0, n - 1), n, n + 1})
     for f in sorted(pts):
         o1, o2 = observe(lhs, f), observe(rhs, f)
-        if isinstance(o1, dn.Exhausted) or isinstance(o2, dn.Exhausted):
-            if type(o1) is not type(o2):
-                return False
-            continue
-        if o1.cost != o2.cost or o1.value != o2.value:
+        # Diverges and Exhausted both mean "not Defined within f".
+        if isinstance(o1, dn.Defined) != isinstance(o2, dn.Defined):
+            return False
+        if isinstance(o1, dn.Defined) and (o1.cost != o2.cost or o1.value != o2.value):
             return False
     return True
 
@@ -100,7 +99,7 @@ def test_bindT_spec_examples():
 
 
 def test_observe_bottom_exhausts():
-    assert observe(bottom(), 10**6) is EXHAUSTED
+    assert observe(bottom(), 10**6) is DIVERGES
     assert observe(bottom(), 0) is EXHAUSTED
 
 
@@ -167,7 +166,10 @@ def test_charged_function_applies_pointwise():
 def test_fuel_monotonicity(d, extra):
     n = laters_needed(d, 60)
     if n is None:
-        assert observe(d, 60) is EXHAUSTED
+        if observe(d, 60) is DIVERGES:  # a proof holds at any larger fuel
+            assert observe(d, 60 + extra) is DIVERGES
+        else:
+            assert observe(d, 60) is EXHAUSTED
         return
     settled = observe(d, n)
     assert isinstance(settled, dn.Defined)
@@ -188,7 +190,7 @@ def test_denote_spec_examples():
     assert observe(c.to_delay(), 5) == dn.Defined(0, dn.V_YES)
 
     d = denote_closed(sx.Fix(sx.Var(0))).to_delay()
-    assert observe(d, 1000) is EXHAUSTED
+    assert observe(d, 1000) is DIVERGES
     assert laters_needed(d, 500) is None
 
 
@@ -245,7 +247,7 @@ def test_reobserving_a_fix_denotation_matches_a_fresh_one(name):
 def test_guard_reuses_its_later():
     d = denote_closed(sx.parse("(fix x x)")).to_delay()
     assert d.thunk() is d
-    assert observe(d, 50) is EXHAUSTED
+    assert observe(d, 50) is DIVERGES
 
 
 def test_observe_accepts_a_later_subclass(monkeypatch):
@@ -273,8 +275,10 @@ def test_observe_accepts_a_later_subclass(monkeypatch):
 def test_ticking_loop_charges_but_never_settles():
     omega_prime = sx.Fix(sx.Step(1, sx.Var(0)))
     d = denote_closed(omega_prime).to_delay()
-    for fuel in (0, 1, 10, 1000):
+    for fuel in (0, 1):
         assert observe(d, fuel) is EXHAUSTED
+    for fuel in (10, 1000):
+        assert observe(d, fuel) is DIVERGES
     # cross-check: the machine's running total grows without bound
     t100 = mc.trace(omega_prime, 100).total
     t200 = mc.trace(omega_prime, 200).total
@@ -287,7 +291,7 @@ def test_agreement_with_machine_on_simple_programs():
         t = sx.parse(src)
         m = mc.profile(t, 100)
         d = observe(denote_closed(t).to_delay(), 100)
-        assert isinstance(m, mc.Defined) and isinstance(d, dn.Defined)
+        assert isinstance(m, dn.Defined) and isinstance(d, dn.Defined)
         assert m.cost == d.cost
 
 
@@ -301,8 +305,8 @@ def test_extensional_collapse_on_corpus():
             continue
         oi = observe(denote_closed(t).to_delay(), 3000)
         oe = observe(denote_closed(t, EXT).to_delay(), 3000, EXT)
-        if isinstance(oi, dn.Exhausted):
-            assert isinstance(oe, dn.Exhausted), name
+        if not isinstance(oi, dn.Defined):
+            assert oe is oi, name
             continue
         assert isinstance(oe, dn.Defined), name
         assert oe.value == oi.value, name
@@ -325,8 +329,8 @@ def test_semantic_value_equality_is_structural_at_ground():
 
 
 # ---------------------------------------------------------------------------
-# Repeat check: `observe` may answer Exhausted early, but only where the
-# whole budget answers Exhausted too.
+# Repeat check: `observe` may answer Diverges, but only where the reference
+# answers Exhausted at that fuel and with 2000 Laters more.
 
 EXACT_FUELS = (0, 1, 2, 3, 7, 64, 2000)
 
@@ -362,12 +366,22 @@ def returner_programs():
     return programs
 
 
+def matches_plain_unwind(got, want, far):
+    """observe's answer `got` against the reference's `want` at one fuel and
+    `far` at 2000 Laters more."""
+    if got is DIVERGES:
+        return want is EXHAUSTED and far is EXHAUSTED
+    return got == want
+
+
 def test_observe_matches_a_plain_unwinder():
     for name, t in returner_programs():
         d = denote_closed(t).to_delay()
+        # Exhausted this far means Exhausted at every fuel + 2000 below.
+        far = plain_unwind(denote_closed(t).to_delay(), max(EXACT_FUELS) + 2000)[0]
         for fuel in EXACT_FUELS:
             want, used = plain_unwind(denote_closed(t).to_delay(), fuel)
-            assert observe(d, fuel) == want, (name, fuel)
+            assert matches_plain_unwind(observe(d, fuel), want, far), (name, fuel)
             assert laters_needed(d, fuel) == (None if want is EXHAUSTED else used), (name, fuel)
 
 
@@ -375,7 +389,7 @@ def test_observe_matches_a_plain_unwinder():
 @given(delays, st.integers(0, 30))
 def test_observe_matches_a_plain_unwinder_on_random_delays(d, fuel):
     want, used = plain_unwind(d, fuel)
-    assert observe(d, fuel) == want
+    assert matches_plain_unwind(observe(d, fuel), want, plain_unwind(d, fuel + 2000)[0])
     assert laters_needed(d, fuel) == (None if want is EXHAUSTED else used)
 
 
@@ -408,7 +422,7 @@ def later_tripwire(monkeypatch, limit):
 def test_observe_recognises_a_repeating_later(monkeypatch, src):
     t = sx.parse(src)
     calls = later_tripwire(monkeypatch, 300)
-    assert observe(denote_closed(t).to_delay(), 10**9) is EXHAUSTED
+    assert observe(denote_closed(t).to_delay(), 10**9) is DIVERGES
     assert laters_needed(denote_closed(t).to_delay(), 10**9) is None
     assert len(calls) <= 300
 

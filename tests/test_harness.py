@@ -10,16 +10,19 @@ import random
 
 import pytest
 
+import costpcf.denote as dn
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
+from costpcf.cli import DEFAULT_FUEL
 from costpcf.cost import DEFAULT_MODEL, Phase, vector_monoid, CostModel
 from costpcf.harness import (
-    CheckReport, Failure, GenConfig, SUITES, check_adequacy, check_laws,
-    check_noninterference, check_sequencing_laws, check_soundness,
-    gen_ni_arg_pairs, gen_ni_functions, gen_programs,
+    CheckReport, Failure, GenConfig, SUITES, adequacy_verdict, agreement,
+    check_adequacy, check_laws, check_noninterference, check_sequencing_laws,
+    check_soundness, gen_ni_arg_pairs, gen_ni_functions, gen_programs,
     gen_sequencing_instances, gen_term, load_corpus, run_suite,
 )
+from costpcf.outcome import DIVERGES, EXHAUSTED, Defined
 from costpcf.syntax import ANS, F, NAT, UNIT, Arrow, Ret, U
 from costpcf.typecheck import Computation, infer
 
@@ -233,16 +236,148 @@ def test_soundness_reports_a_per_step_fault(monkeypatch):
 
 
 def test_soundness_reports_a_wrong_machine_total(monkeypatch):
-    real_run = mc.run
+    real_settle = mc.settle
 
-    def run_overcharging(e, fuel, model=DEFAULT_MODEL):
-        total, terminal, used = real_run(e, fuel, model)
-        return model.add(total, 1), terminal, used
+    def settle_overcharging(e, fuel, model=DEFAULT_MODEL):
+        outcome, used = real_settle(e, fuel, model)
+        return Defined(model.add(outcome.cost, 1), outcome.value), used
 
-    monkeypatch.setattr(mc, "run", run_overcharging)
+    monkeypatch.setattr(mc, "settle", settle_overcharging)
     rep = check_soundness(_countdown3(), fuel=10_000)
     assert [f.case for f in rep.failures] == ["big-step:countdown3.pcf"]
-    assert rep.failures[0].detail == "cost 3 != machine 4"
+    assert rep.failures[0].detail == "costs differ: 3 vs 4"  # denotation vs machine
+
+
+# ---------------------------------------------------------------------------
+# The one agreement rule
+
+ONE = Defined(1, dn.TRIV)
+
+
+@pytest.mark.parametrize("o1, o2, retry, agree", [
+    pytest.param(ONE, ONE, None, True, id="defined-equal"),
+    pytest.param(ONE, Defined(2, dn.TRIV), None, False, id="defined-costs-differ"),
+    pytest.param(ONE, Defined(1, dn.V_YES), None, False, id="defined-values-differ"),
+    pytest.param(ONE, DIVERGES, None, False, id="defined-diverges"),
+    pytest.param(DIVERGES, ONE, None, False, id="diverges-defined"),
+    pytest.param(ONE, EXHAUSTED, 2, True, id="defined-exhausted"),
+    pytest.param(EXHAUSTED, ONE, 1, True, id="exhausted-defined"),
+    pytest.param(DIVERGES, DIVERGES, None, True, id="diverges-diverges"),
+    pytest.param(DIVERGES, EXHAUSTED, None, True, id="diverges-exhausted"),
+    pytest.param(EXHAUSTED, DIVERGES, None, True, id="exhausted-diverges"),
+    pytest.param(EXHAUSTED, EXHAUSTED, None, True, id="exhausted-exhausted"),
+])
+def test_agreement_rule(o1, o2, retry, agree):
+    """Each cell of the rule.  Only an Exhausted side facing a Defined one is
+    observed again, once, at 4x fuel; here it then settles as the other."""
+    again = []
+
+    def observer(side):
+        def observe(fuel):
+            again.append((side, fuel))
+            return ONE
+        return observe
+
+    why, _, _ = agreement(o1, o2, observer(1), observer(2), 100, DEFAULT_MODEL)
+    assert again == ([] if retry is None else [(retry, 400)])
+    assert (why is None) == agree
+
+
+def test_agreement_reports_a_retry_that_still_does_not_settle():
+    why, o1, _ = agreement(EXHAUSTED, ONE, lambda f: DIVERGES, None, 100, DEFAULT_MODEL)
+    assert o1 is DIVERGES
+    assert why == "definedness differs: Diverges vs Defined(cost=1, value=VTriv)"
+
+
+def spy_on_both_semantics(monkeypatch, outcome, below):
+    """Record the fuel of every machine run and denotation observation; the
+    machine answers `outcome` at any fuel below `below`."""
+    calls = {"settle": [], "observe": []}
+    real_settle, real_observe = mc.settle, dn.observe
+
+    def settle(e, fuel, model=DEFAULT_MODEL):
+        calls["settle"].append(fuel)
+        return (outcome, 0) if fuel < below else real_settle(e, fuel, model)
+
+    def observe(d, fuel, model=DEFAULT_MODEL):
+        calls["observe"].append(fuel)
+        return real_observe(d, fuel, model)
+
+    monkeypatch.setattr(mc, "settle", settle)
+    monkeypatch.setattr(dn, "observe", observe)
+    return calls
+
+
+def test_adequacy_never_retries_a_proved_divergence(monkeypatch):
+    calls = spy_on_both_semantics(monkeypatch, DIVERGES, below=10**9)
+    why, m, d, fuel = adequacy_verdict(sx.parse("(step 2 (ret triv))"), 100, DEFAULT_MODEL)
+    assert why == "definedness differs: Diverges vs Defined(cost=2, value=VTriv)"
+    assert (m, d, fuel) == (DIVERGES, Defined(2, dn.TRIV), 100)
+    assert calls == {"settle": [100], "observe": [100]}
+
+
+def test_adequacy_retries_an_exhausted_side_once_at_four_times_the_fuel(monkeypatch):
+    calls = spy_on_both_semantics(monkeypatch, EXHAUSTED, below=400)
+    why, m, d, fuel = adequacy_verdict(sx.parse("(step 2 (ret triv))"), 100, DEFAULT_MODEL)
+    assert why is None
+    assert (m, d, fuel) == (Defined(2, dn.TRIV), Defined(2, dn.TRIV), 400)
+    assert calls == {"settle": [100, 400], "observe": [100]}
+
+
+def test_laws_treat_a_proved_and_an_unproved_divergence_alike(monkeypatch):
+    """Every continuation diverges: on its first call through one shared
+    Later, which `observe` proves, later through fresh Laters, which it never
+    can.  So left unit meets Diverges against Exhausted: both not Defined."""
+    def unproved():
+        return dn.Later(unproved)
+
+    def gen_kont(rng, model, depth):
+        calls = []
+
+        def k(v):
+            calls.append(v)
+            return dn.bottom() if len(calls) == 1 else unproved()
+        return k
+
+    monkeypatch.setattr(hz, "_gen_kont", gen_kont)
+    k = gen_kont(None, None, 0)
+    right, left = k(dn.TRIV), dn.bindT(dn.eta(dn.TRIV), k)
+    assert (dn.observe(right, 64), dn.observe(left, 64)) == (DIVERGES, EXHAUSTED)
+    rep = check_laws(seed=5, cases=20, fuel=64)
+    assert rep.failures == ()
+
+
+def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
+    """Every ground program of the `check all --seed 1` soundness and
+    adequacy batteries that does not settle is proved divergent by both
+    semantics, at the fuels those suites use."""
+    seen = {}
+
+    def spy(name):
+        def check(programs, fuel, model=DEFAULT_MODEL, **kw):
+            seen[name] = (programs, fuel, kw.get("divergent_observe_fuel", fuel))
+            return CheckReport(name, len(programs), ())
+        return check
+
+    monkeypatch.setattr(hz, "check_soundness", spy("soundness"))
+    monkeypatch.setattr(hz, "check_adequacy", spy("adequacy"))
+    rng = random.Random(1)  # run_suite("all") draws one seed per suite, in order
+    seeds = {name: rng.randrange(2**62) for name in SUITES}
+    for name in ("soundness", "adequacy"):
+        run_suite(name, seeds[name], DEFAULT_FUEL)
+    divergent = {}
+    for name, (programs, fuel, obs_fuel) in seen.items():
+        divergent[name] = 0
+        for label, t in programs:
+            if hz._ground_f_type(t, DEFAULT_MODEL) is None:
+                continue
+            machine = mc.settle(t, fuel)[0]
+            if isinstance(machine, Defined):
+                continue
+            divergent[name] += 1
+            assert machine is DIVERGES, (name, label)
+            assert dn.observe(dn.denote_closed(t).to_delay(), obs_fuel) is DIVERGES, (name, label)
+    assert divergent == {"soundness": 11, "adequacy": 5}
 
 
 @pytest.mark.parametrize("model", [

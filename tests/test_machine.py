@@ -14,9 +14,9 @@ import costpcf.machine as mc
 import costpcf.syntax as sx
 from costpcf.cost import DEFAULT_MODEL, Phase, vector_monoid, CostModel
 from costpcf.machine import (
-    Defined, Exhausted, Mismatch, StuckError, Terminal, Next,
-    eval_term, out, profile, run, trace,
+    Mismatch, StuckError, Terminal, Next, eval_term, out, profile, run, settle, trace,
 )
+from costpcf.outcome import DIVERGES, EXHAUSTED, Defined
 from costpcf.syntax import (
     NAT, TRIV, ZERO, Ap, Bind, F, Fix, Ifz, Lam, Ret, Step, Succ, Var, parse,
 )
@@ -149,10 +149,12 @@ def test_trace_spec_examples():
 
 
 def test_eval_spec_examples():
-    assert eval_term(Ret(TRIV), Ret(TRIV), 1) == Defined(0)
-    assert eval_term(Step(2, Step(3, Ret(TRIV))), Ret(TRIV), 10) == Defined(5)
-    for n in (1, 5, 50):
-        assert eval_term(Fix(Var(0)), Ret(TRIV), n) == Exhausted(n)
+    assert eval_term(Ret(TRIV), Ret(TRIV), 1) == Defined(0, Ret(TRIV))
+    assert eval_term(Step(2, Step(3, Ret(TRIV))), Ret(TRIV), 10) == Defined(5, Ret(TRIV))
+    # (fix x x) unfolds to itself: the second unfolding proves the repeat.
+    assert eval_term(Fix(Var(0)), Ret(TRIV), 1) is EXHAUSTED
+    for n in (5, 50):
+        assert eval_term(Fix(Var(0)), Ret(TRIV), n) is DIVERGES
 
 
 def test_eval_mismatch_is_definitive():
@@ -161,29 +163,28 @@ def test_eval_mismatch_is_definitive():
 
 
 def test_profile_spec_examples():
-    assert profile(Ret(TRIV), 1) == Defined(0)
-    assert profile(Bind(Step(1, Ret(TRIV)), Step(2, Ret(TRIV))), 10) == Defined(3)
-    assert profile(Step(7, Fix(Var(0))), 100) == Exhausted(100)
+    assert profile(Ret(TRIV), 1) == Defined(0, Ret(TRIV))
+    assert profile(Bind(Step(1, Ret(TRIV)), Step(2, Ret(TRIV))), 10) == Defined(3, Ret(TRIV))
+    assert profile(Step(7, Fix(Var(0))), 100) is DIVERGES
 
 
 def test_fuel_counts_transitions_not_cost():
     # one transition of cost 7 fits in fuel 1
-    assert profile(Step(7, Ret(TRIV)), 1) == Defined(7)
+    assert profile(Step(7, Ret(TRIV)), 1) == Defined(7, Ret(TRIV))
     # fuel 0 can only accept an immediate terminal
-    assert profile(Ret(TRIV), 0) == Defined(0)
-    assert profile(Step(0, Ret(TRIV)), 0) == Exhausted(0)
+    assert profile(Ret(TRIV), 0) == Defined(0, Ret(TRIV))
+    assert profile(Step(0, Ret(TRIV)), 0) is EXHAUSTED
 
 
 def test_fuel_monotonicity_on_generated_programs():
     programs = hz.gen_programs(2921, 150, (F(sx.UNIT),), terminating_frac=0.5)
     for t, _ in programs:
         o = profile(t, 400)
-        if isinstance(o, Defined):
+        if isinstance(o, Defined) or o is DIVERGES:
             for extra in (1, 37, 4000):
                 assert profile(t, 400 + extra) == o
         else:
-            # exhaustion reports exactly the budget it burned
-            assert o == Exhausted(400)
+            assert o is EXHAUSTED
 
 
 def test_eval_functionality():
@@ -266,7 +267,7 @@ def test_corpus_against_frozen_oracle_values():
 def test_vector_costs_accumulate_componentwise():
     v2 = CostModel(monoid=vector_monoid(2))
     t = parse("(step [1,0] (step [0,3] (ret triv)))", monoid=v2.monoid)
-    assert profile(t, 10, v2) == Defined((1, 3))
+    assert profile(t, 10, v2) == Defined((1, 3), Ret(TRIV))
 
 
 def test_extensional_phase_seals_profile():
@@ -321,8 +322,10 @@ def out_steps(t, fuel):
 
 
 def test_run_matches_a_plain_step_loop():
+    """`settle` answers Diverges only where the plain loop finds no terminal
+    within that fuel, nor within 2000 steps more."""
     for name, t in exactness_programs():
-        ref, terminal = plain_steps(t, max(EXACT_FUELS))
+        ref, terminal = plain_steps(t, max(EXACT_FUELS) + 2000)
         for fuel in EXACT_FUELS:
             want = ref[:fuel]
             want_done = terminal is not None and len(ref) <= fuel
@@ -330,10 +333,16 @@ def test_run_matches_a_plain_step_loop():
             assert [c for c, _ in tr.steps] == want, (name, fuel)
             assert (tr.total, tr.truncated) == (sum(want), not want_done), (name, fuel)
             res = run(t, fuel)
+            outcome, used = settle(t, fuel)
             if not want_done:
                 assert res is None, (name, fuel)
+                if outcome is DIVERGES:
+                    assert terminal is None or len(ref) > fuel + 2000, (name, fuel)
+                else:
+                    assert outcome is EXHAUSTED, (name, fuel)
                 continue
             assert res == (sum(want), terminal, len(want)), (name, fuel)
+            assert (outcome, used) == (Defined(sum(want), terminal), len(want)), (name, fuel)
         assert trace(t, 64).steps == tuple(out_steps(t, 64)), name
 
 
@@ -359,7 +368,7 @@ def test_run_recognises_a_repeating_fix(monkeypatch, name):
     t = dict(hz.load_corpus())[f"{name}.pcf"]
     calls = step_tripwire(monkeypatch, 10)
     assert run(t, 10**9) is None
-    assert profile(t, 10**9) == Exhausted(10**9)
+    assert profile(t, 10**9) is DIVERGES
     assert len(calls) <= 8
 
 
@@ -376,6 +385,9 @@ def test_run_recognises_a_repeating_machine_state(monkeypatch, src):
     calls = step_tripwire(monkeypatch, 10)
     assert run(t, 10**9) is None
     assert len(calls) <= 8
+    calls.clear()
+    assert profile(t, 10**9) is DIVERGES
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("name", ["countdown3", "countdown5", "ackermann"])
@@ -388,6 +400,7 @@ def test_run_does_not_flag_a_fix_whose_frame_was_popped(name):
         total, terminal, used = run(t, fuel)
         assert (total, used, sx.print_term(terminal)) == (cost, steps, printed)
     assert run(t, steps - 1) is None
+    assert eval_term(t, terminal, steps - 1) is EXHAUSTED
 
 
 def test_trace_spends_every_step_on_a_repeating_fix():
