@@ -21,7 +21,7 @@ from . import syntax as sx
 from .cost import CostModel, Phase, get_monoid
 from .harness import SUITES, adequacy_verdict, run_suite
 from .outcome import Defined
-from .typecheck import TypeCheckError, check_program, infer, show_type
+from .typecheck import Computation, TypeCheckError, check_program, infer, show_type
 
 DEFAULT_FUEL = 100_000
 
@@ -107,13 +107,16 @@ def typecheck(path, monoid, as_json):
 
 
 def _well_typed_for_run(t, model):
-    """Well-typedness gate for machine commands; ambiguity is not an error
-    (the term is typeable, just not uniquely)."""
+    """Well-typedness gate for machine commands: t must be a computation.
+    Ambiguity is not an error (the term is typeable, just not uniquely)."""
     try:
-        infer((), t, monoid=model.monoid)
+        judgment = infer((), t, monoid=model.monoid)
     except TypeCheckError as e:
         if not e.ambiguous:
             raise
+        return t
+    if not isinstance(judgment.classification, Computation):
+        raise TypeCheckError("the machine runs computations, not values")
     return t
 
 

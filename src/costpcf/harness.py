@@ -73,12 +73,15 @@ class GenConfig:
     max_depth: int = 5
     target: object = field(default_factory=lambda: sx.F(sx.UNIT))
     fix_probability: float = 0.25
-    step_cost_range: tuple = (0, 5)
     monoid: object = NAT_MONOID
     terminating: bool = False
 
 
 _GROUND = (sx.UNIT, sx.NAT, sx.ANS)
+_GROUND_F = tuple(sx.F(a) for a in _GROUND)
+
+# Bounds of the cost a generated `step` charges (see CostMonoid.sample).
+STEP_COST_RANGE = (0, 5)
 
 # Generation-time placeholder that hides a binder from subterm generation
 # (used to keep countdown recursion structural: helper code under the zero
@@ -103,8 +106,7 @@ class _Gen:
         self.cfg = cfg
 
     def cost(self):
-        lo, hi = self.cfg.step_cost_range
-        return self.cfg.monoid.sample(self.rng, lo, hi)
+        return self.cfg.monoid.sample(self.rng, *STEP_COST_RANGE)
 
     def _vars_of(self, ctx, a):
         return [i for i, t in enumerate(ctx) if t == a]
@@ -230,10 +232,21 @@ class _Gen:
         return sx.Ap(fn, arg)
 
 
-def gen_term(cfg: GenConfig):
-    """Deterministic closed well-typed term of cfg.target."""
-    rng = random.Random(cfg.seed)
-    return _Gen(rng, cfg).comp((), cfg.target, cfg.max_depth)
+def gen_term(cfg: GenConfig, ctx=()):
+    """Deterministic well-typed term of cfg.target under ctx, the types of
+    the free variables (index 0 first): a computation, or a value when
+    cfg.target is a value type."""
+    gen = _Gen(random.Random(cfg.seed), cfg)
+    if isinstance(cfg.target, (sx.F, sx.Arrow)):
+        return gen.comp(ctx, cfg.target, cfg.max_depth)
+    return gen.value(ctx, cfg.target, cfg.max_depth)
+
+
+def _gen_terminating(rng, target, depth_range, monoid, ctx=()):
+    """gen_term in terminating mode, its seed and depth drawn from rng."""
+    cfg = GenConfig(seed=rng.randrange(2**62), max_depth=rng.randint(*depth_range),
+                    target=target, monoid=monoid, terminating=True)
+    return gen_term(cfg, ctx)
 
 
 def gen_programs(seed, count, targets, terminating_frac, monoid=NAT_MONOID,
@@ -440,13 +453,18 @@ def _tweak_ground(v):
     return None
 
 
-def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL,
-                             max_depth=8, step_cap=25) -> CheckReport:
+# Largest depth of a generated metatheory program, and how many of its
+# states are checked for preservation.
+METATHEORY_MAX_DEPTH = 8
+PRESERVATION_STEP_CAP = 25
+
+
+def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
     """Machine-only metatheory on generated programs: `out` is deterministic,
-    every state within step_cap steps preserves the initial type, and eval is
-    functional and fuel-monotone (Defined exactly from the settling fuel on,
-    Mismatch at a different ground target, Diverges or Exhausted while
-    unsettled).
+    every state within PRESERVATION_STEP_CAP steps preserves the initial
+    type, and eval is functional and fuel-monotone (Defined exactly from the
+    settling fuel on, Mismatch at a different ground target, Diverges or
+    Exhausted while unsettled).
 
     It is not in SUITES: `check all` stdout is a pinned byte-for-byte oracle
     (perfbench reads the suite list through SUITES too), and the battery would
@@ -454,10 +472,9 @@ def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL
     """
     rng = random.Random(seed)
     failures = []
-    targets = (sx.F(sx.UNIT), sx.F(sx.NAT), sx.F(sx.ANS))
-    programs = gen_programs(seed=rng.randrange(2**62), count=cases, targets=targets,
+    programs = gen_programs(seed=rng.randrange(2**62), count=cases, targets=_GROUND_F,
                             terminating_frac=0.6, monoid=model.monoid,
-                            depth_range=(2, max_depth))
+                            depth_range=(2, METATHEORY_MAX_DEPTH))
 
     for idx, (e, target) in enumerate(programs):
         name = f"meta[{idx}]"
@@ -481,7 +498,7 @@ def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL
         # Preservation: every reachable state checks at the initial type.
         ct = judgment.classification.type
         cur = e
-        for stepno in range(step_cap):
+        for stepno in range(PRESERVATION_STEP_CAP):
             r = mc.out(cur, model)
             if isinstance(r, mc.Terminal):
                 break
@@ -537,7 +554,8 @@ def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL
 # ---------------------------------------------------------------------------
 # Suite: soundness (per-step and big-step)
 
-_GROUND_F = (sx.F(sx.UNIT), sx.F(sx.NAT), sx.F(sx.ANS))
+# Transitions checked per ground program that does not settle.
+DIVERGENT_STEP_CAP = 12
 
 
 def _ground_f_type(t, model):
@@ -551,9 +569,7 @@ def _ground_f_type(t, model):
     return None
 
 
-def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
-                    divergent_step_cap=12,
-                    divergent_observe_fuel=None) -> CheckReport:
+def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
     """Per transition e -> (c, e'): [[e]] = c (+) [[e']].  Per terminating
     program with terminal v: [[e]] = Defined(machine cost, [[v]]).
 
@@ -561,7 +577,7 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
     or run out of fuel.  Both checks use the one agreement rule.
 
     Terminating programs get every transition checked; divergent ones are
-    capped at divergent_step_cap transitions (their transition graphs are
+    capped at DIVERGENT_STEP_CAP transitions (their transition graphs are
     cyclic modulo substitution, so a small prefix already covers each rule).
     Each [[e_k]] along the run is observed once and shared by the two
     transitions it borders.  `programs` holds (name, term) pairs; ground
@@ -569,8 +585,6 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
     terminal cases.
     """
     failures = []
-    if divergent_observe_fuel is None:
-        divergent_observe_fuel = fuel
     cases = 0
     for name, e in programs:
         cases += 1
@@ -579,28 +593,26 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL,
         printed = sx.print_term(e)
 
         machine, used = _settle(e, fuel, model)
-        diverged = not isinstance(machine, Defined)
-        cap = divergent_step_cap if diverged else used
-        obs_fuel = divergent_observe_fuel if diverged else fuel
+        cap = used if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
 
         # Prop: one transition preserves the denotation up to charging.
         cur = e
         whole = lhs = dn.denote_closed(e, model).to_delay()
-        obs = o_lhs = dn.observe(lhs, obs_fuel, model)
+        obs = o_lhs = dn.observe(lhs, fuel, model)
         for stepno in range(cap):
             r = mc.out(cur, model)
             if isinstance(r, mc.Terminal):
                 break
             nxt = dn.denote_closed(r.term, model).to_delay()
-            o_nxt = dn.observe(nxt, obs_fuel, model)
+            o_nxt = dn.observe(nxt, fuel, model)
             why = agreement(o_lhs, _charged(r.cost, o_nxt, model),
                             lambda f: dn.observe(lhs, f, model),
                             lambda f: _charged(r.cost, dn.observe(nxt, f, model), model),
-                            obs_fuel, model)[0]
+                            fuel, model)[0]
             if why:
                 failures.append(Failure(
                     f"per-step:{name}", (printed, sx.print_term(cur)),
-                    f"transition {stepno}: {why}", obs_fuel))
+                    f"transition {stepno}: {why}", fuel))
                 break
             cur, lhs, o_lhs = r.term, nxt, o_nxt
 
@@ -657,20 +669,14 @@ class SequencingInstance:
 
 
 def gen_sequencing_instances(seed, cases_per_law, fuel, model: CostModel = DEFAULT_MODEL):
-    """Generate >= cases_per_law terminating instances of each law."""
+    """Generate terminating instances of each law: up to cases_per_law per
+    law, fewer when cases_per_law * 30 attempts do not find that many."""
     rng = random.Random(seed)
     monoid = model.monoid
     instances = []
 
-    def tgen(target, ctx=(), depth=None):
-        cfg = GenConfig(
-            seed=rng.randrange(2**62),
-            max_depth=depth if depth is not None else rng.randint(2, 4),
-            target=target,
-            monoid=monoid,
-            terminating=True,
-        )
-        return _Gen(random.Random(cfg.seed), cfg).comp(ctx, target, cfg.max_depth)
+    def tgen(target, ctx=()):
+        return _gen_terminating(rng, target, (2, 4), monoid, ctx)
 
     def terminates(t):
         return mc.run(t, fuel, model) is not None
@@ -683,83 +689,65 @@ def gen_sequencing_instances(seed, cases_per_law, fuel, model: CostModel = DEFAU
             attempts += 1
             a = ground[rng.randrange(3)]
             b = ground[rng.randrange(3)]
-            if law == "eval-seq":
-                e = tgen(sx.F(a))
-                g = tgen(sx.F(b), ctx=(a,))
+            e = tgen(sx.F(a))
+            if law in ("eval-seq", "prof-seq"):
+                g = tgen(sx.F(b if law == "eval-seq" else sx.UNIT), ctx=(a,))
                 if not terminates(e) or not terminates(sx.Bind(e, g)):
                     continue
-                instances.append(SequencingInstance(law, (e, g)))
-            elif law == "prof-seq":
-                e = tgen(sx.F(a))
-                g = tgen(sx.F(sx.UNIT), ctx=(a,))
-                if not terminates(e) or not terminates(sx.Bind(e, g)):
-                    continue
-                instances.append(SequencingInstance(law, (e, g)))
+                parts = (e, g)
             elif law == "prof-assoc":
-                e = tgen(sx.F(a))
                 g = tgen(sx.F(b), ctx=(a,))
                 i = tgen(sx.F(sx.UNIT), ctx=(b,))
                 if not terminates(sx.Bind(sx.Bind(e, g), i)):
                     continue
-                instances.append(SequencingInstance(law, (e, g, i)))
+                parts = (e, g, i)
             else:
-                e = tgen(sx.F(a))
                 g = tgen(sx.Arrow(b, sx.F(sx.UNIT)), ctx=(a,))
-                w = _Gen(random.Random(rng.randrange(2**62)),
-                         GenConfig(seed=0, monoid=monoid, terminating=True)).value((), b, 2)
+                w = gen_term(GenConfig(seed=rng.randrange(2**62), max_depth=2, target=b,
+                                       monoid=monoid, terminating=True))
                 if not terminates(sx.Ap(sx.Bind(e, g), w)):
                     continue
-                instances.append(SequencingInstance(law, (e, g, w)))
+                parts = (e, g, w)
+            instances.append(SequencingInstance(law, parts))
             made += 1
     return instances
 
 
+def _sequencing_sides(inst, fuel, model):
+    """The machine outcomes of the two sides of inst's law.
+
+    eval-seq and prof-seq: bind(e, g) against e's cost charged onto the
+    outcome of g[v], where e settles to ret(v) (e's own outcome when it does
+    not settle).  prof-assoc: the two nestings of bind.  comm-app-seq:
+    ap(bind(e, g), w) against bind(e, ap(g, w))."""
+    def settle(t):
+        return mc.settle(t, fuel, model)[0]
+
+    if inst.law in ("eval-seq", "prof-seq"):
+        e, g = inst.parts
+        first = settle(e)
+        if isinstance(first, Defined):
+            rest = _charged(first.cost, settle(sx.subst(g, first.value.arg)), model)
+        else:
+            rest = first
+        return settle(sx.Bind(e, g)), rest
+    if inst.law == "prof-assoc":
+        e, g, i = inst.parts
+        return settle(sx.Bind(sx.Bind(e, g), i)), settle(sx.Bind(e, sx.Bind(g, sx.shift(i, 1, 1))))
+    e, g, w = inst.parts
+    return settle(sx.Ap(sx.Bind(e, g), w)), settle(sx.Bind(e, sx.Ap(g, sx.shift(w, 1))))
+
+
 def check_sequencing_laws(instances, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
+    """Each law's two sides settle on the machine, and agree by
+    `disagreement` in cost and terminal."""
     failures = []
     for idx, inst in enumerate(instances):
-        name = f"{inst.law}[{idx}]"
-        if inst.law in ("eval-seq", "prof-seq"):
-            e, g = inst.parts
-            r_e = mc.run(e, fuel, model)
-            if r_e is None:
-                failures.append(Failure(name, (sx.print_term(e),), "component e did not settle", fuel))
-                continue
-            c1, term_e, _ = r_e
-            v = term_e.arg
-            r_g = mc.run(sx.subst(g, v), fuel, model)
-            if r_g is None:
-                failures.append(Failure(name, (sx.print_term(g),), "component g[v] did not settle", fuel))
-                continue
-            c2, term_g, _ = r_g
-            want = model.add(c1, c2)
-            if inst.law == "eval-seq":
-                got = mc.eval_term(sx.Bind(e, g), term_g, fuel, model)
-            else:
-                got = mc.profile(sx.Bind(e, g), fuel, model)
-            if disagreement(got, Defined(want, term_g), model):
-                failures.append(Failure(
-                    name, (sx.print_term(e), sx.print_term(g)),
-                    f"bind cost {got!r}, expected Defined({model.show(want)})", fuel))
-        elif inst.law == "prof-assoc":
-            e, g, i = inst.parts
-            lhs = sx.Bind(sx.Bind(e, g), i)
-            rhs = sx.Bind(e, sx.Bind(g, sx.shift(i, 1, 1)))
-            o1 = mc.profile(lhs, fuel, model)
-            o2 = mc.profile(rhs, fuel, model)
-            if not isinstance(o1, Defined) or disagreement(o1, o2, model):
-                failures.append(Failure(
-                    name, tuple(sx.print_term(t) for t in inst.parts),
-                    f"profile disagrees: {o1!r} vs {o2!r}", fuel))
-        else:  # comm-app-seq
-            e, g, w = inst.parts
-            lhs = sx.Ap(sx.Bind(e, g), w)
-            rhs = sx.Bind(e, sx.Ap(g, sx.shift(w, 1)))
-            o1 = mc.settle(lhs, fuel, model)[0]
-            o2 = mc.settle(rhs, fuel, model)[0]
-            if not isinstance(o1, Defined) or disagreement(o1, o2, model):
-                failures.append(Failure(
-                    name, tuple(sx.print_term(t) for t in inst.parts),
-                    f"outcomes differ: {o1!r} vs {o2!r}", fuel))
+        lhs, rhs = _sequencing_sides(inst, fuel, model)
+        if not isinstance(lhs, Defined) or disagreement(lhs, rhs, model):
+            failures.append(Failure(
+                f"{inst.law}[{idx}]", tuple(sx.print_term(t) for t in inst.parts),
+                f"sides settle to {lhs!r} and {rhs!r}", fuel))
     return CheckReport("sequencing", len(instances), tuple(failures))
 
 
@@ -769,52 +757,33 @@ def check_sequencing_laws(instances, fuel, model: CostModel = DEFAULT_MODEL) -> 
 def gen_ni_functions(seed, count, monoid=NAT_MONOID):
     """Functions of type U(F unit) -> F ans, generated terminating."""
     rng = random.Random(seed)
-    out = []
     arg_t = sx.U(sx.F(sx.UNIT))
-    for _ in range(count):
-        cfg = GenConfig(
-            seed=rng.randrange(2**62),
-            max_depth=rng.randint(2, 5),
-            target=sx.F(sx.ANS),
-            monoid=monoid,
-            terminating=True,
-        )
-        body = _Gen(random.Random(cfg.seed), cfg).comp((arg_t,), sx.F(sx.ANS), cfg.max_depth)
-        out.append(sx.Lam(arg_t, body))
-    return out
+    return [sx.Lam(arg_t, _gen_terminating(rng, sx.F(sx.ANS), (2, 5), monoid, (arg_t,)))
+            for _ in range(count)]
 
 
 def gen_ni_arg_pairs(seed, count, fuel, model: CostModel = DEFAULT_MODEL):
-    """Pairs of terminating U(F unit) thunks; half are step^k perturbations
-    of one underlying thunk, half independent."""
+    """Up to count pairs of terminating U(F unit) thunks, fewer when count * 30
+    attempts do not find that many; about half are step^k perturbations of
+    one underlying thunk, the rest independent."""
     rng = random.Random(seed)
     pairs = []
     attempts = 0
+
+    def thunk():
+        t = _gen_terminating(rng, sx.F(sx.UNIT), (1, 4), model.monoid)
+        return t if isinstance(mc.profile(t, fuel, model), Defined) else None
+
     while len(pairs) < count and attempts < count * 30:
         attempts += 1
-        cfg = GenConfig(
-            seed=rng.randrange(2**62),
-            max_depth=rng.randint(1, 4),
-            target=sx.F(sx.UNIT),
-            monoid=model.monoid,
-            terminating=True,
-        )
-        x = gen_term(cfg)
-        if not isinstance(mc.profile(x, fuel, model), Defined):
+        x = thunk()
+        if x is None:
             continue
         if rng.random() < 0.5:
-            k = model.monoid.sample(rng, 1, 9)
-            y = sx.Step(k, x)
+            y = sx.Step(model.monoid.sample(rng, 1, 9), x)
         else:
-            cfg2 = GenConfig(
-                seed=rng.randrange(2**62),
-                max_depth=rng.randint(1, 4),
-                target=sx.F(sx.UNIT),
-                monoid=model.monoid,
-                terminating=True,
-            )
-            y = gen_term(cfg2)
-            if not isinstance(mc.profile(y, fuel, model), Defined):
+            y = thunk()
+            if y is None:
                 continue
         pairs.append((x, y))
     return pairs
@@ -887,10 +856,10 @@ def run_suite(name, seed, fuel, model: CostModel = DEFAULT_MODEL, cases=None):
         gen = gen_programs(seed, n, _GROUND_F, terminating_frac=0.7,
                            monoid=model.monoid, depth_range=(2, 5))
         programs += [(f"gen[{i}]", t) for i, (t, _) in enumerate(gen)]
-        return [check_soundness(programs, fuel, model,
-                                divergent_observe_fuel=min(fuel, 20_000))]
+        return [check_soundness(programs, fuel, model)]
     if name == "adequacy":
-        programs = [(nm, t) for nm, t in load_corpus() if _is_unit_program(t, model)]
+        programs = [(nm, t) for nm, t in load_corpus()
+                    if _ground_f_type(t, model) == sx.F(sx.UNIT)]
         gen = gen_programs(seed, n, (sx.F(sx.UNIT),), terminating_frac=0.6,
                            monoid=model.monoid, depth_range=(2, 6))
         programs += [(f"fuzz[{i}]", t) for i, (t, _) in enumerate(gen)]
@@ -904,11 +873,3 @@ def run_suite(name, seed, fuel, model: CostModel = DEFAULT_MODEL, cases=None):
         pairs = gen_ni_arg_pairs(rng.randrange(2**62), 20, min(fuel, 20_000), model)
         return [check_noninterference(functions, pairs, fuel, model)]
     raise ValueError(f"unknown suite '{name}' (expected one of {', '.join(SUITES)} or all)")
-
-
-def _is_unit_program(t, model):
-    try:
-        check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
-        return True
-    except TypeCheckError:
-        return False

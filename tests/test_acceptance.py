@@ -52,9 +52,8 @@ def test_criterion_1_monad_and_algebra_laws(acceptance_log):
 
 def test_criterion_2_machine_metatheory(acceptance_log):
     def go():
-        rep = _assert_clean(check_machine_metatheory(
-            seed=12, cases=500, fuel=10_000, max_depth=8))
-        return (f"{rep.cases} generated programs (depth <= 8): determinism, "
+        rep = _assert_clean(check_machine_metatheory(seed=12, cases=500, fuel=10_000))
+        return (f"{rep.cases} generated programs (depth <= {hz.METATHEORY_MAX_DEPTH}): determinism, "
                 "preservation, functionality, fuel monotonicity, 0 failures")
     _criterion(acceptance_log, 2, "machine metatheory", 30, go)
 
@@ -75,8 +74,7 @@ def test_criterion_4_soundness_on_corpus(acceptance_log):
     def go():
         corpus = load_corpus()
         assert len(corpus) == 25
-        rep = _assert_clean(check_soundness(
-            corpus, fuel=100_000, divergent_observe_fuel=20_000))
+        rep = _assert_clean(check_soundness(corpus, fuel=100_000))
         return ("per-transition and big-step agreement on the 25-program "
                 "corpus at fuel 1e5, 0 failures")
     _criterion(acceptance_log, 4, "denotational soundness", 60, go)
@@ -85,7 +83,7 @@ def test_criterion_4_soundness_on_corpus(acceptance_log):
 def test_criterion_5_adequacy(acceptance_log):
     def go():
         programs = [(n, t) for n, t in load_corpus()
-                    if hz._is_unit_program(t, DEFAULT_MODEL)]
+                    if hz._ground_f_type(t, DEFAULT_MODEL) == sx.F(sx.UNIT)]
         fuzz = gen_programs(15, 200, (sx.F(sx.UNIT),), terminating_frac=0.6,
                             depth_range=(2, 6))
         programs += [(f"fuzz[{i}]", t) for i, (t, _) in enumerate(fuzz)]

@@ -98,6 +98,8 @@ USER_ERROR_CASES = [([command], src, error)
                     for src, error in USER_ERRORS for command in FILE_COMMANDS] + [
     # by step 2000 the term is a bind spine 2000 deep, and printing recurses
     (["step", "--fuel", "2000", "--trace"], "grow_loop.pcf", "depth"),
+    # a value is well typed, but the machine runs only computations
+    (["step"], "3", "type"),
 ]
 
 

@@ -5,6 +5,7 @@ must inhabit its target type.  Suite runs here are smoke-scale; the full
 acceptance-scale runs live in test_acceptance.py.
 """
 
+import hashlib
 import json
 import random
 
@@ -93,6 +94,55 @@ def test_gen_programs_deterministic_batch():
     assert a == b
 
 
+def battery_digest(monkeypatch, seed):
+    """sha256 over the printed terms `check all --seed <seed> --cases 100
+    --fuel 5000` generates for its suites, in order, with the law name of
+    each sequencing instance; the suites themselves are not run."""
+    h = hashlib.sha256()
+
+    def feed(label, terms):
+        h.update(" ".join((label,) + tuple(sx.print_term(t) for t in terms)).encode() + b"\n")
+
+    def programs(progs, *_):
+        for label, t in progs:
+            feed(label, (t,))
+
+    def instances(insts, *_):
+        for inst in insts:
+            feed(inst.law, inst.parts)
+
+    def ni(functions, pairs, *_):
+        for f in functions:
+            feed("fn", (f,))
+        for x, y in pairs:
+            feed("pair", (x, y))
+
+    def spy(name, record):
+        def check(*args):
+            record(*args)
+            return CheckReport(name, 0, ())
+        return check
+
+    monkeypatch.setattr(hz, "check_laws", spy("laws", lambda *_: None))
+    monkeypatch.setattr(hz, "check_soundness", spy("soundness", programs))
+    monkeypatch.setattr(hz, "check_adequacy", spy("adequacy", programs))
+    monkeypatch.setattr(hz, "check_sequencing_laws", spy("sequencing", instances))
+    monkeypatch.setattr(hz, "check_noninterference", spy("noninterference", ni))
+    run_suite("all", seed, 5000, DEFAULT_MODEL, cases=100)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "60d47d32fb17f02acff711af0f45c26c8d9c44699523b5493710f8a8a5c5bf40"),
+    (47, "47914e2a33f81858f3dd4471adc8ccccb3ff6d6a2dd4d3ed1308fe45ec2746f3"),
+])
+def test_battery_generators_produce_pinned_terms(monkeypatch, seed, digest):
+    """Every program, sequencing instance, function and argument pair the
+    battery generates is pinned: a change to any rng draw shows here even
+    when the suites' reports, which print only counts, stay the same."""
+    assert battery_digest(monkeypatch, seed) == digest
+
+
 # ---------------------------------------------------------------------------
 # Corpus
 
@@ -131,15 +181,14 @@ def test_laws_suite_smoke():
 
 
 def test_soundness_suite_smoke():
-    rep = check_soundness(load_corpus(), fuel=100_000,
-                          divergent_observe_fuel=20_000)
+    rep = check_soundness(load_corpus(), fuel=100_000)
     assert rep.failures == ()
     assert rep.cases == 25
 
 
 def test_adequacy_suite_smoke():
     programs = [(n, t) for n, t in load_corpus()
-                if hz._is_unit_program(t, DEFAULT_MODEL)]
+                if hz._ground_f_type(t, DEFAULT_MODEL) == F(UNIT)]
     assert len(programs) >= 10
     rep = check_adequacy(programs, fuel=100_000)
     assert rep.failures == ()
@@ -248,6 +297,49 @@ def test_soundness_reports_a_wrong_machine_total(monkeypatch):
     assert rep.failures[0].detail == "costs differ: 3 vs 4"  # denotation vs machine
 
 
+SEQUENCING_LEFT_SIDES = {
+    "eval-seq": lambda e, g: sx.Bind(e, g),
+    "prof-seq": lambda e, g: sx.Bind(e, g),
+    "prof-assoc": lambda e, g, i: sx.Bind(sx.Bind(e, g), i),
+    "comm-app-seq": lambda e, g, w: sx.Ap(sx.Bind(e, g), w),
+}
+
+
+@pytest.mark.parametrize("fault", ["overcharge", "exhaust"])
+@pytest.mark.parametrize("law", list(SEQUENCING_LEFT_SIDES))
+def test_sequencing_reports_a_faulty_left_side(monkeypatch, law, fault):
+    """A machine that overcharges, or never settles, the left side of one
+    law fails exactly that law's cases."""
+    instances = gen_sequencing_instances(17, 3, 20_000)
+    left = {SEQUENCING_LEFT_SIDES[inst.law](*inst.parts)
+            for inst in instances if inst.law == law}
+    real_settle = mc.settle
+
+    def faulty_settle(e, fuel, model=DEFAULT_MODEL):
+        outcome, used = real_settle(e, fuel, model)
+        if e not in left:
+            return outcome, used
+        if fault == "exhaust":
+            return EXHAUSTED, fuel
+        return Defined(model.add(outcome.cost, 1), outcome.value), used
+
+    monkeypatch.setattr(mc, "settle", faulty_settle)
+    rep = check_sequencing_laws(instances, fuel=100_000)
+    expected = [f"{law}[{idx}]" for idx, inst in enumerate(instances) if inst.law == law]
+    assert len(expected) == 3
+    assert [f.case for f in rep.failures] == expected
+    assert all(f.detail.startswith("sides settle to") for f in rep.failures)
+
+
+def test_sequencing_fails_a_law_whose_sides_both_do_not_settle(monkeypatch):
+    """Two sides that agree in not settling are no instance of the law."""
+    instances = gen_sequencing_instances(17, 2, 20_000)
+    monkeypatch.setattr(mc, "settle", lambda e, fuel, model=DEFAULT_MODEL: (EXHAUSTED, fuel))
+    rep = check_sequencing_laws(instances, fuel=100_000)
+    assert [f.case for f in rep.failures] == [f"{inst.law}[{idx}]" for idx, inst in enumerate(instances)]
+    assert rep.failures[0].detail == "sides settle to Exhausted and Exhausted"
+
+
 # ---------------------------------------------------------------------------
 # The one agreement rule
 
@@ -354,8 +446,8 @@ def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
     seen = {}
 
     def spy(name):
-        def check(programs, fuel, model=DEFAULT_MODEL, **kw):
-            seen[name] = (programs, fuel, kw.get("divergent_observe_fuel", fuel))
+        def check(programs, fuel, model=DEFAULT_MODEL):
+            seen[name] = (programs, fuel)
             return CheckReport(name, len(programs), ())
         return check
 
@@ -366,7 +458,7 @@ def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
     for name in ("soundness", "adequacy"):
         run_suite(name, seeds[name], DEFAULT_FUEL)
     divergent = {}
-    for name, (programs, fuel, obs_fuel) in seen.items():
+    for name, (programs, fuel) in seen.items():
         divergent[name] = 0
         for label, t in programs:
             if hz._ground_f_type(t, DEFAULT_MODEL) is None:
@@ -376,7 +468,7 @@ def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
                 continue
             divergent[name] += 1
             assert machine is DIVERGES, (name, label)
-            assert dn.observe(dn.denote_closed(t).to_delay(), obs_fuel) is DIVERGES, (name, label)
+            assert dn.observe(dn.denote_closed(t).to_delay(), fuel) is DIVERGES, (name, label)
     assert divergent == {"soundness": 11, "adequacy": 5}
 
 
