@@ -53,8 +53,8 @@ def test_criterion_1_monad_and_algebra_laws(acceptance_log):
 def test_criterion_2_machine_metatheory(acceptance_log):
     def go():
         rep = _assert_clean(check_machine_metatheory(seed=12, cases=500, fuel=10_000))
-        return (f"{rep.cases} generated programs (depth <= {hz.METATHEORY_MAX_DEPTH}): determinism, "
-                "preservation, functionality, fuel monotonicity, 0 failures")
+        return (f"{rep.cases} generated programs (depth <= {hz.METATHEORY_MAX_DEPTH}): "
+                "determinism, preservation, functionality, fuel monotonicity, 0 failures")
     _criterion(acceptance_log, 2, "machine metatheory", 30, go)
 
 

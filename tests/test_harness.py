@@ -336,7 +336,8 @@ def test_sequencing_fails_a_law_whose_sides_both_do_not_settle(monkeypatch):
     instances = gen_sequencing_instances(17, 2, 20_000)
     monkeypatch.setattr(mc, "settle", lambda e, fuel, model=DEFAULT_MODEL: (EXHAUSTED, fuel))
     rep = check_sequencing_laws(instances, fuel=100_000)
-    assert [f.case for f in rep.failures] == [f"{inst.law}[{idx}]" for idx, inst in enumerate(instances)]
+    cases = [f"{inst.law}[{idx}]" for idx, inst in enumerate(instances)]
+    assert [f.case for f in rep.failures] == cases
     assert rep.failures[0].detail == "sides settle to Exhausted and Exhausted"
 
 
