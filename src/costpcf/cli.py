@@ -5,6 +5,10 @@ input nested too deep for the Python stack), 2 check/adequacy failure,
 3 internal error.  All machine-facing output is
 single-line compact JSON so repeated runs are byte-comparable; --pretty
 switches the single-file commands to a short human-readable line.
+
+`profile`, `denote` and `adequacy` report each outcome by its status:
+"defined", "diverges" when the run is proved to repeat forever, or
+"exhausted" when the fuel runs out first with no such proof.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import machine as mc
 from . import syntax as sx
 from .cost import CostModel, Phase, get_monoid
 from .harness import SUITES, adequacy_verdict, run_suite
-from .outcome import Defined
+from .outcome import DIVERGES, Defined
 from .typecheck import Computation, TypeCheckError, check_program, infer, show_type
 
 DEFAULT_FUEL = 100_000
@@ -57,6 +61,11 @@ def _load(path, model):
     with open(path, encoding="utf-8") as fh:
         src = fh.read()
     return sx.parse(src, model.monoid)
+
+
+def _unsettled(outcome):
+    """The status of an outcome that is not Defined."""
+    return "diverges" if outcome is DIVERGES else "exhausted"
 
 
 def _parse_error_json(e: sx.ParseError):
@@ -166,9 +175,9 @@ def profile(path, fuel, monoid, phase, as_json):
         else:
             click.echo(f"defined, cost {model.show(res.cost)}")
     elif as_json:
-        _emit({"status": "exhausted", "fuel": fuel})
+        _emit({"status": _unsettled(res), "fuel": fuel})
     else:
-        click.echo(f"exhausted at fuel {fuel}")
+        click.echo("diverges" if res is DIVERGES else f"exhausted at fuel {fuel}")
     return 0
 
 
@@ -197,14 +206,14 @@ def denote(path, fuel, monoid, phase, as_json):
         payload = {"status": "defined", "cost": model.to_json(obs.cost),
                    "value": dn.ground_json(obs.value)}
     else:
-        payload = {"status": "exhausted", "cost": None, "value": None}
+        payload = {"status": _unsettled(obs), "cost": None, "value": None}
     if as_json:
         _emit(payload)
     else:
         if payload["status"] == "defined":
             click.echo(f"defined, cost {model.show(obs.cost)}, value {payload['value']}")
         else:
-            click.echo("exhausted")
+            click.echo(payload["status"])
     return 0
 
 
@@ -220,10 +229,10 @@ def adequacy(path, fuel, monoid, phase, as_json):
     verdict, m, d, fuel = adequacy_verdict(t, fuel, model)
     machine_part = ({"status": "defined", "cost": model.to_json(m.cost)}
                     if isinstance(m, Defined)
-                    else {"status": "exhausted", "fuel": fuel})
+                    else {"status": _unsettled(m), "fuel": fuel})
     denote_part = ({"status": "defined", "cost": model.to_json(d.cost)}
                    if isinstance(d, Defined)
-                   else {"status": "exhausted"})
+                   else {"status": _unsettled(d)})
     agree = verdict is None
     payload = {"agree": agree, "machine": machine_part, "denotation": denote_part}
     if not agree:

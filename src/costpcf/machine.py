@@ -18,12 +18,17 @@ so finding the next redex under a long bind/ap spine costs O(1) per step
 instead of O(depth).  The substitution a head rule performs is not O(1): it
 rebuilds only the subterms that mention the bound index and shares the rest,
 and the replacement, always closed here, is shared rather than copied (see
-`syntax.subst`).  Within one run it is also done once per (body, replacement)
-pair of node objects: the runner memoises it by identity, so a fix unfolding
-or a numeral substituted into the same body again returns the earlier result,
-the identical object.  The memo holds at most SUBST_MEMO_CAP entries; `out`
-builds a fresh runner, and so a fresh memo, per call.  One fuel unit is one
-fired head rule, which is exactly one `out` transition, hit or miss.
+`syntax.subst`).  It is also done once per (body, replacement) pair of node
+objects: the runner memoises it by identity, so a fix unfolding or a numeral
+substituted into the same body again returns the earlier result, the
+identical object.  The memo holds at most SUBST_MEMO_CAP entries.  Each run,
+and each `out` call, has a fresh memo of its own, except inside a `sharing()`
+scope, where every runner uses the scope's one memo: the harness opens one
+per named suite, whose runs redo each other's substitutions.  The memo is
+never process-wide: which nodes it holds decides the step at which `settle`
+proves a repeat, and so whether it does within its fuel, and a suite's
+answers must not depend on what ran before it.  One fuel unit is one fired
+head rule, which is exactly one `out` transition, hit or miss.
 `settle`, behind `run`, `eval_term` and `profile`, stops early and answers
 Diverges once it proves that a fix unfolding repeats forever; `trace` and
 `out` never do.
@@ -31,6 +36,7 @@ Diverges once it proves that a fix unfolding repeats forever; `trace` and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,8 +98,26 @@ def _plug(frames, t):
     return t
 
 
-# Entries the substitution memo of one run holds before it is cleared.
+# Entries a substitution memo holds before it is cleared.
 SUBST_MEMO_CAP = 1024
+
+# The memo of the innermost open `sharing` scope, or None outside any.
+_shared_memo = None
+
+
+@contextmanager
+def sharing():
+    """Give every runner built inside this scope one substitution memo.
+
+    Outside any scope each run, and each `out` call, has a fresh memo.  A
+    scope starts empty, also inside another one, so the runs in it answer
+    the same whatever ran before it."""
+    global _shared_memo
+    outer, _shared_memo = _shared_memo, {}
+    try:
+        yield
+    finally:
+        _shared_memo = outer
 
 
 class _Runner:
@@ -103,8 +127,9 @@ class _Runner:
         self.focus = term
         self.frames: list = []
         self.model = model
+        self.zero = model.zero()
         # (id(body), id(arg)) -> (body, arg, body[arg]); see `subst`.
-        self.memo: dict = {}
+        self.memo: dict = {} if _shared_memo is None else _shared_memo
         # Repeat check, on when `watch` (see `run`): fix unfoldings so far,
         # the fix node and a copy of the frame stack marked at the last
         # power-of-two count, and the lowest stack height since then.
@@ -123,10 +148,12 @@ class _Runner:
     def subst(self, body, arg):
         """body[arg] at index 0, computed once per (body, arg) pair by identity.
 
-        `subst` is pure and nodes are immutable, so a hit is exact.  Each
-        entry keeps its body and arg alive, so their ids cannot be reused
-        while it exists; the memo is cleared when it reaches SUBST_MEMO_CAP
-        entries, which bounds a run's memory."""
+        The memo is this run's own, or the one of the `sharing` scope the
+        runner was built in.  `subst` is pure and nodes are immutable, so a
+        hit is exact, whichever run made the entry.  Each entry keeps its
+        body and arg alive, so their ids cannot be reused while it exists;
+        the memo is cleared when it reaches SUBST_MEMO_CAP entries, which
+        bounds its memory."""
         key = (id(body), id(arg))
         hit = self.memo.get(key)
         if hit is not None:
@@ -158,28 +185,57 @@ class _Runner:
 
     def step(self) -> Optional[object]:
         """Fire one transition; returns its cost, or None at a terminal or,
-        when watching, at a proven repeat (`at_terminal` tells them apart)."""
+        when watching, at a proven repeat (`at_terminal` tells them apart).
+
+        Dispatch is on exact node type, most frequent first in the `check
+        all` battery: no class subclasses a term node."""
         focus = self.focus
         frames = self.frames
         while True:
-            if isinstance(focus, sx.Bind):
-                if isinstance(focus.head, sx.Ret):
-                    self.focus = self.subst(focus.cont, focus.head.arg)
-                    return self.model.zero()
-                frames.append(("bind", focus.cont))
-                focus = focus.head
-                continue
-            if isinstance(focus, sx.Ap):
-                if isinstance(focus.fun, sx.Lam):
-                    self.focus = self.subst(focus.fun.body, focus.arg)
-                    return self.model.zero()
+            kind = type(focus)
+            if kind is sx.Ap:
+                fun = focus.fun
+                if type(fun) is sx.Lam:
+                    self.focus = self.subst(fun.body, focus.arg)
+                    return self.zero
                 frames.append(("ap", focus.arg))
-                focus = focus.fun
+                focus = fun
                 continue
-            if isinstance(focus, sx.Step):
+            if kind is sx.Ret:
+                if not frames:
+                    self.focus = focus
+                    return None
+                if frames[-1][0] != "bind":
+                    break
+                cont = frames.pop()[1]
+                if len(frames) < self.low:
+                    self.low = len(frames)
+                self.focus = self.subst(cont, focus.arg)
+                return self.zero
+            if kind is sx.Ifz:
+                scrut = focus.scrut
+                if type(scrut) is sx.Zero:
+                    self.focus = focus.zcase
+                    return self.zero
+                if type(scrut) is not sx.Succ:
+                    break
+                self.focus = self.subst(focus.scase, scrut.arg)
+                return self.zero
+            if kind is sx.Step:
                 self.focus = focus.body
                 return focus.cost
-            if isinstance(focus, sx.Fix):
+            if kind is sx.Lam:
+                if not frames:
+                    self.focus = focus
+                    return None
+                if frames[-1][0] != "ap":
+                    break
+                arg = frames.pop()[1]
+                if len(frames) < self.low:
+                    self.low = len(frames)
+                self.focus = self.subst(focus.body, arg)
+                return self.zero
+            if kind is sx.Fix:
                 if self.watch:
                     if focus is self.mark and self.repeats():
                         self.focus = focus
@@ -190,44 +246,19 @@ class _Runner:
                         self.snapshot = frames.copy()
                         self.low = len(frames)
                 self.focus = self.subst(focus.body, focus)
-                return self.model.zero()
-            if isinstance(focus, sx.Ifz):
-                scrut = focus.scrut
-                if isinstance(scrut, sx.Zero):
-                    self.focus = focus.zcase
-                    return self.model.zero()
-                if isinstance(scrut, sx.Succ):
-                    self.focus = self.subst(focus.scase, scrut.arg)
-                    return self.model.zero()
-                self.focus = focus
-                raise StuckError(self.current_term())
-            if isinstance(focus, sx.Ret):
-                if not frames:
-                    self.focus = focus
-                    return None
-                if frames[-1][0] == "bind":
-                    cont = frames.pop()[1]
-                    if len(frames) < self.low:
-                        self.low = len(frames)
-                    self.focus = self.subst(cont, focus.arg)
-                    return self.model.zero()
-                self.focus = focus
-                raise StuckError(self.current_term())
-            if isinstance(focus, sx.Lam):
-                if not frames:
-                    self.focus = focus
-                    return None
-                if frames[-1][0] == "ap":
-                    arg = frames.pop()[1]
-                    if len(frames) < self.low:
-                        self.low = len(frames)
-                    self.focus = self.subst(focus.body, arg)
-                    return self.model.zero()
-                self.focus = focus
-                raise StuckError(self.current_term())
-            # Values and variables are not computations: stuck.
-            self.focus = focus
-            raise StuckError(self.current_term())
+                return self.zero
+            if kind is not sx.Bind:
+                break  # values and variables are not computations
+            head = focus.head
+            if type(head) is sx.Ret:
+                self.focus = self.subst(focus.cont, head.arg)
+                return self.zero
+            frames.append(("bind", focus.cont))
+            focus = head
+        # No rule applies: a non-computation, a terminal facing the wrong
+        # frame, or an ifz on a non-numeral.
+        self.focus = focus
+        raise StuckError(self.current_term())
 
 
 def out(e, model: CostModel = DEFAULT_MODEL) -> StepResult:

@@ -254,28 +254,35 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
     free index >= k, and the result shares every subtree that does not
     mention the eliminated index or one above it.  A closed replacement is
     returned by `shift` as is, so it is never walked and every hit shares it.
+
+    The walker reads a node's cached range directly, and dispatches on exact
+    node type, most frequent first: no class subclasses a term node.
     """
     def go(t: Term, index: int, depth: int) -> Term:
-        if loose_range(t) <= index:
+        r = t._range
+        if r is None:
+            r = loose_range(t)
+        if r <= index:
             return t
-        if isinstance(t, Var):
+        kind = type(t)
+        if kind is Var:
             return shift(replacement, depth) if t.index == index else Var(t.index - 1)
-        if isinstance(t, Succ):
-            return Succ(go(t.arg, index, depth))
-        if isinstance(t, Ret):
-            return Ret(go(t.arg, index, depth))
-        if isinstance(t, Step):
-            return Step(t.cost, go(t.body, index, depth))
-        if isinstance(t, Bind):
-            return Bind(go(t.head, index, depth), go(t.cont, index + 1, depth + 1))
-        if isinstance(t, Ifz):
+        if kind is Ifz:
             return Ifz(go(t.scrut, index, depth), go(t.zcase, index, depth),
                        go(t.scase, index + 1, depth + 1))
-        if isinstance(t, Fix):
-            return Fix(go(t.body, index + 1, depth + 1))
-        if isinstance(t, Lam):
+        if kind is Ap:
+            return Ap(go(t.fun, index, depth), go(t.arg, index, depth))
+        if kind is Step:
+            return Step(t.cost, go(t.body, index, depth))
+        if kind is Bind:
+            return Bind(go(t.head, index, depth), go(t.cont, index + 1, depth + 1))
+        if kind is Lam:
             return Lam(t.dom, go(t.body, index + 1, depth + 1))
-        return Ap(go(t.fun, index, depth), go(t.arg, index, depth))
+        if kind is Ret:
+            return Ret(go(t.arg, index, depth))
+        if kind is Succ:
+            return Succ(go(t.arg, index, depth))
+        return Fix(go(t.body, index + 1, depth + 1))
 
     # Fill the replacement's cache before descending: a hit deep inside `t`
     # must not recurse through the replacement on top of the stack so far.

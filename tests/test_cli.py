@@ -124,10 +124,22 @@ def test_profile_defined(capsys, pcf):
     assert out == '{"status":"defined","cost":2}\n'
 
 
+# Counts up forever on ever new numerals, so no run can prove it repeats.
+COUNTING_LOOP = "(ap (fix f (lam nat n (step 1 (ap f (succ n))))) zero)"
+
+
 def test_profile_exhausted_at_default_fuel(capsys, pcf):
-    rc, out, _ = run_main(capsys, "profile", pcf("(fix x x)"))
+    rc, out, _ = run_main(capsys, "profile", pcf(COUNTING_LOOP))
     assert rc == 0
     assert out == '{"status":"exhausted","fuel":100000}\n'
+
+
+def test_profile_reports_a_proved_divergence(capsys, pcf):
+    rc, out, _ = run_main(capsys, "profile", pcf("(fix x x)"))
+    assert rc == 0
+    assert out == '{"status":"diverges","fuel":100000}\n'
+    rc, out, _ = run_main(capsys, "profile", pcf("(fix x x)"), "--pretty")
+    assert out == "diverges\n"
 
 
 def test_profile_extensional_phase(capsys, pcf):
@@ -166,7 +178,7 @@ def test_denote_ans_value(capsys, pcf):
 def test_denote_divergent_falls_back_to_unit_type(capsys, pcf):
     rc, out, _ = run_main(capsys, "denote", pcf("(fix x x)"), "--fuel", "50")
     assert rc == 0
-    assert json.loads(out) == {"status": "exhausted", "cost": None, "value": None}
+    assert json.loads(out) == {"status": "diverges", "cost": None, "value": None}
 
 
 def test_denote_rejects_function_programs(capsys, pcf):
@@ -207,7 +219,11 @@ def test_adequacy_command_agrees_on_corpus_program(capsys):
 def test_adequacy_command_on_divergent_program(capsys, pcf):
     rc, out, _ = run_main(capsys, "adequacy", pcf("(fix x x)"), "--fuel", "60")
     assert rc == 0
-    assert json.loads(out)["agree"] is True
+    assert json.loads(out) == {
+        "agree": True,
+        "machine": {"status": "diverges", "fuel": 60},
+        "denotation": {"status": "diverges"},
+    }
 
 
 def test_adequacy_reports_the_runs_it_decided_on(capsys, pcf):
@@ -287,7 +303,7 @@ def test_unknown_monoid(capsys, pcf):
 
 
 def test_fuel_env_override(capsys, pcf, monkeypatch):
-    path = pcf("(fix x (step 1 x))")
+    path = pcf(COUNTING_LOOP)
     monkeypatch.setenv("COSTPCF_FUEL", "7")
     rc, out, _ = run_main(capsys, "profile", path)
     assert rc == 0

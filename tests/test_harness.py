@@ -230,6 +230,33 @@ def test_run_suite_dispatch_and_determinism():
         run_suite("nonsense", seed=0, fuel=100)
 
 
+def test_each_suite_answers_the_same_alone_and_after_all(monkeypatch):
+    """Each named suite's machine runs share one memo, which starts empty,
+    so neither its reports nor any machine answer in it (the step at which
+    a repeat is proved included) depend on what ran before it."""
+    answers = []
+    real = mc.settle
+
+    def settle(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(mc, "settle", settle)
+
+    def alone():
+        runs = {}
+        for name in SUITES:
+            answers.clear()
+            reports = [r.to_json() for r in run_suite(name, 1, 5000, cases=100)]
+            runs[name] = (reports, list(answers))
+        return runs
+
+    first = alone()
+    assert sum(len(a) for _, a in first.values()) > 5000
+    run_suite("all", 1, 5000, cases=100)
+    assert alone() == first
+
+
 def test_run_suite_all_covers_every_suite():
     reports = run_suite("all", seed=2, fuel=30_000, cases=8)
     assert [r.name for r in reports] == list(SUITES)
@@ -415,6 +442,22 @@ def test_adequacy_retries_an_exhausted_side_once_at_four_times_the_fuel(monkeypa
     assert why is None
     assert (m, d, fuel) == (Defined(2, dn.TRIV), Defined(2, dn.TRIV), 400)
     assert calls == {"settle": [100, 400], "observe": [100]}
+
+
+def test_laws_meet_proved_divergences(monkeypatch):
+    """Some generated delays never settle, so the laws compare Diverges
+    outcomes too, not only Defined and Exhausted ones."""
+    seen = []
+    real = dn.observe
+
+    def observe(d, fuel, model=DEFAULT_MODEL):
+        seen.append(real(d, fuel, model))
+        return seen[-1]
+
+    monkeypatch.setattr(dn, "observe", observe)
+    assert check_laws(seed=5, cases=60, fuel=4000).failures == ()
+    assert seen.count(DIVERGES) >= 20
+    assert any(isinstance(o, Defined) for o in seen) and EXHAUSTED in seen
 
 
 def test_laws_treat_a_proved_and_an_unproved_divergence_alike(monkeypatch):

@@ -324,6 +324,63 @@ def out_steps(t, fuel):
 def test_run_matches_a_plain_step_loop():
     """`settle` answers Diverges only where the plain loop finds no terminal
     within that fuel, nor within 2000 steps more."""
+    check_matches_plain_steps()
+
+
+def fill_shared_memo(headroom):
+    """Step a counting loop until the open scope's memo is `headroom`
+    entries short of its cap; returns that memo."""
+    runner = mc._Runner(parse(COUNTING_LOOP), DEFAULT_MODEL)
+    while len(runner.memo) < mc.SUBST_MEMO_CAP - headroom:
+        runner.step()
+    return runner.memo
+
+
+def test_run_matches_a_plain_step_loop_inside_a_sharing_scope():
+    """Every run of the scope, `trace` included, reuses substitutions other
+    runs made, and crosses the clears of a memo that starts nearly full."""
+    with mc.sharing():
+        memo = fill_shared_memo(headroom=8)
+        assert mc._Runner(ZERO, DEFAULT_MODEL).memo is memo
+        check_matches_plain_steps()
+
+
+def test_a_scope_leaves_runs_outside_it_unchanged():
+    programs = [t for _, t in exactness_programs()[::7]] + [parse(ADD_300_4)]
+
+    def answers():
+        assert mc._Runner(ZERO, DEFAULT_MODEL).memo == {}
+        return [settle(t, 2000) for t in programs]
+
+    before = answers()
+    with mc.sharing():
+        outer = fill_shared_memo(headroom=100)
+        with mc.sharing():
+            assert mc._Runner(ZERO, DEFAULT_MODEL).memo == {}
+            settle(parse(ADD_300_4), 2000)
+        assert mc._Runner(ZERO, DEFAULT_MODEL).memo is outer
+    assert answers() == before
+    with pytest.raises(ZeroDivisionError):
+        with mc.sharing():
+            settle(parse(ADD_300_4), 2000)
+            1 / 0
+    assert answers() == before
+
+
+def test_a_nearly_full_memo_can_delay_a_proof():
+    """Why runs share a memo only inside a scope that starts empty: a memo
+    that other runs have filled clears at this run's second substitution,
+    dropping the first, so the next unfolding rebuilds the inner fix as a
+    new node, not the marked one, and the proof comes too late for the
+    fuel."""
+    t = parse("(fix x (fix x1 (step 5 x)))")
+    assert settle(t, 7) == (DIVERGES, 4)
+    with mc.sharing():
+        fill_shared_memo(headroom=1)
+        assert settle(t, 7) == (EXHAUSTED, 7)
+
+
+def check_matches_plain_steps():
     for name, t in exactness_programs():
         ref, terminal = plain_steps(t, max(EXACT_FUELS) + 2000)
         for fuel in EXACT_FUELS:
@@ -361,7 +418,19 @@ def step_tripwire(monkeypatch, limit):
     return calls
 
 
-@pytest.mark.parametrize("name", ["omega", "ticking_loop", "grow_loop"])
+REPEATING_FIXES = ["omega", "ticking_loop", "grow_loop"]
+
+REPEATING_STATES = [
+    # The inner fix is rebuilt by every outer unfolding; the memo makes the
+    # rebuilt nodes identical, so the mark lands on a node that comes back.
+    "(fix x (step 3 (fix x1 (step 0 (step 1 x)))))",
+    # Pops its ap frame and pushes one with the identical argument: the
+    # whole state repeats, frames included, though a marked frame was popped.
+    "(ap (fix r (lam nat x (ap r x))) zero)",
+]
+
+
+@pytest.mark.parametrize("name", REPEATING_FIXES)
 def test_run_recognises_a_repeating_fix(monkeypatch, name):
     """grow_loop's frame stack grows by one bind per unfolding, yet nothing
     below the mark is ever popped: a repeat all the same."""
@@ -372,14 +441,7 @@ def test_run_recognises_a_repeating_fix(monkeypatch, name):
     assert len(calls) <= 8
 
 
-@pytest.mark.parametrize("src", [
-    # The inner fix is rebuilt by every outer unfolding; the memo makes the
-    # rebuilt nodes identical, so the mark lands on a node that comes back.
-    "(fix x (step 3 (fix x1 (step 0 (step 1 x)))))",
-    # Pops its ap frame and pushes one with the identical argument: the
-    # whole state repeats, frames included, though a marked frame was popped.
-    "(ap (fix r (lam nat x (ap r x))) zero)",
-])
+@pytest.mark.parametrize("src", REPEATING_STATES)
 def test_run_recognises_a_repeating_machine_state(monkeypatch, src):
     t = parse(src)
     calls = step_tripwire(monkeypatch, 10)
@@ -388,6 +450,27 @@ def test_run_recognises_a_repeating_machine_state(monkeypatch, src):
     calls.clear()
     assert profile(t, 10**9) is DIVERGES
     assert len(calls) <= 8
+
+
+def test_run_recognises_every_repeat_inside_a_sharing_scope(monkeypatch):
+    """The two tests above, twice over inside one scope, so that each run
+    starts with the substitutions of the runs before it in the memo."""
+    corpus = dict(hz.load_corpus())
+    calls = step_tripwire(monkeypatch, 10)
+    with mc.sharing():
+        for _ in range(2):
+            for name in REPEATING_FIXES:
+                t = corpus[f"{name}.pcf"]
+                calls.clear()
+                assert run(t, 10**9) is None
+                assert profile(t, 10**9) is DIVERGES
+                assert len(calls) <= 8
+            for src in REPEATING_STATES:
+                t = parse(src)
+                for settles, want in ((run, None), (profile, DIVERGES)):
+                    calls.clear()
+                    assert settles(t, 10**9) is want
+                    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("name", ["countdown3", "countdown5", "ackermann"])
