@@ -25,7 +25,7 @@ from . import syntax as sx
 from .cost import CostModel, Phase, get_monoid
 from .harness import SUITES, adequacy_verdict, run_suite
 from .outcome import DIVERGES, Defined
-from .typecheck import Computation, TypeCheckError, check_program, infer, show_type
+from .typecheck import Computation, TypeCheckError, check_program, infer, program_type, show_type
 
 DEFAULT_FUEL = 100_000
 
@@ -63,9 +63,19 @@ def _load(path, model):
     return sx.parse(src, model.monoid)
 
 
-def _unsettled(outcome):
-    """The status of an outcome that is not Defined."""
-    return "diverges" if outcome is DIVERGES else "exhausted"
+def _load_run(path, fuel, monoid, phase):
+    """A running command's program in PATH, its fuel and its cost model."""
+    fuel = _resolve_fuel(fuel)
+    model = _resolve_model(monoid, phase)
+    return _load(path, model), fuel, model
+
+
+def _status(outcome, model, **unsettled):
+    """The {"status": ...} payload of an outcome: "defined" with its cost, or
+    "diverges"/"exhausted" with the command's own `unsettled` keys."""
+    if isinstance(outcome, Defined):
+        return {"status": "defined", "cost": model.to_json(outcome.cost)}
+    return {"status": "diverges" if outcome is DIVERGES else "exhausted", **unsettled}
 
 
 def _parse_error_json(e: sx.ParseError):
@@ -123,10 +133,9 @@ def _well_typed_for_run(t, model):
     except TypeCheckError as e:
         if not e.ambiguous:
             raise
-        return t
-    if not isinstance(judgment.classification, Computation):
-        raise TypeCheckError("the machine runs computations, not values")
-    return t
+    else:
+        if not isinstance(judgment.classification, Computation):
+            raise TypeCheckError("the machine runs computations, not values")
 
 
 @cli.command()
@@ -136,9 +145,8 @@ def _well_typed_for_run(t, model):
 @_with_common
 def step(path, with_trace, fuel, monoid, phase, as_json):
     """Run the abstract machine on PATH and summarize the trace."""
-    fuel = _resolve_fuel(fuel)
-    model = _resolve_model(monoid, phase)
-    t = _well_typed_for_run(_load(path, model), model)
+    t, fuel, model = _load_run(path, fuel, monoid, phase)
+    _well_typed_for_run(t, model)
     tr = mc.trace(t, fuel, model, terms=with_trace)
     status = "truncated" if tr.truncated else "terminal"
     payload = {"status": status, "steps": len(tr.steps), "total": model.to_json(tr.total)}
@@ -161,21 +169,16 @@ def step(path, with_trace, fuel, monoid, phase, as_json):
 @_with_common
 def profile(path, fuel, monoid, phase, as_json):
     """Total cost of running PATH (a unit-returner) to completion."""
-    fuel = _resolve_fuel(fuel)
-    model = _resolve_model(monoid, phase)
-    t = _load(path, model)
+    t, fuel, model = _load_run(path, fuel, monoid, phase)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     res = mc.profile(t, fuel, model)
     if res is mc.MISMATCH:
         _emit({"error": "internal", "msg": "profile reached a non-unit terminal"})
         return 3
-    if isinstance(res, Defined):
-        if as_json:
-            _emit({"status": "defined", "cost": model.to_json(res.cost)})
-        else:
-            click.echo(f"defined, cost {model.show(res.cost)}")
-    elif as_json:
-        _emit({"status": _unsettled(res), "fuel": fuel})
+    if as_json:
+        _emit(_status(res, model, fuel=fuel))
+    elif isinstance(res, Defined):
+        click.echo(f"defined, cost {model.show(res.cost)}")
     else:
         click.echo("diverges" if res is DIVERGES else f"exhausted at fuel {fuel}")
     return 0
@@ -186,34 +189,22 @@ def profile(path, fuel, monoid, phase, as_json):
 @_with_common
 def denote(path, fuel, monoid, phase, as_json):
     """Observe the denotation of PATH (a returner) at the given fuel."""
-    fuel = _resolve_fuel(fuel)
-    model = _resolve_model(monoid, phase)
-    t = _load(path, model)
-    try:
-        judgment = infer((), t, monoid=model.monoid)
-    except TypeCheckError as e:
-        if not e.ambiguous:
-            raise
-        # Typeable at every computation type (e.g. (fix x x)): observe at
-        # the canonical observation type F unit.
-        judgment = infer((), t, expected=sx.F(sx.UNIT), monoid=model.monoid)
-    ct = judgment.classification.type
-    if not isinstance(ct, sx.F):
+    t, fuel, model = _load_run(path, fuel, monoid, phase)
+    if not isinstance(program_type(t, model.monoid), sx.F):
         _emit({"error": "type", "at": [], "msg": "denote requires a returner (F) program"})
         return 1
     obs = dn.observe(dn.denote_closed(t, model).to_delay(), fuel, model)
+    payload = _status(obs, model, cost=None, value=None)
     if isinstance(obs, Defined):
-        payload = {"status": "defined", "cost": model.to_json(obs.cost),
-                   "value": dn.ground_json(obs.value)}
-    else:
-        payload = {"status": _unsettled(obs), "cost": None, "value": None}
+        payload["value"] = dn.ground_json(obs.value)
     if as_json:
         _emit(payload)
+    elif not isinstance(obs, Defined):
+        click.echo(payload["status"])
     else:
-        if payload["status"] == "defined":
-            click.echo(f"defined, cost {model.show(obs.cost)}, value {payload['value']}")
-        else:
-            click.echo(payload["status"])
+        # A thunk has no ground value to show.
+        value = "" if payload["value"] is None else f", value {payload['value']}"
+        click.echo(f"defined, cost {model.show(obs.cost)}{value}")
     return 0
 
 
@@ -222,19 +213,12 @@ def denote(path, fuel, monoid, phase, as_json):
 @_with_common
 def adequacy(path, fuel, monoid, phase, as_json):
     """Check that machine profile and denotation agree on PATH."""
-    fuel = _resolve_fuel(fuel)
-    model = _resolve_model(monoid, phase)
-    t = _load(path, model)
+    t, fuel, model = _load_run(path, fuel, monoid, phase)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     verdict, m, d, fuel = adequacy_verdict(t, fuel, model)
-    machine_part = ({"status": "defined", "cost": model.to_json(m.cost)}
-                    if isinstance(m, Defined)
-                    else {"status": _unsettled(m), "fuel": fuel})
-    denote_part = ({"status": "defined", "cost": model.to_json(d.cost)}
-                   if isinstance(d, Defined)
-                   else {"status": _unsettled(d)})
     agree = verdict is None
-    payload = {"agree": agree, "machine": machine_part, "denotation": denote_part}
+    payload = {"agree": agree, "machine": _status(m, model, fuel=fuel),
+               "denotation": _status(d, model)}
     if not agree:
         payload["detail"] = verdict
     if as_json:

@@ -189,7 +189,8 @@ def observe(d, fuel: int, model: CostModel = DEFAULT_MODEL):
 def laters_needed(d, limit: int, model: CostModel = DEFAULT_MODEL):
     """Smallest fuel at which d is Defined, or None if above limit.
 
-    Used by tests asserting that combinators preserve Later structure.
+    Used by the laws suite and by tests to assert that combinators preserve
+    Later structure.
     """
     outcome, used = _unwind(d, limit, model)
     return used if isinstance(outcome, Defined) else None
@@ -355,7 +356,7 @@ def denote(ctx, t, env, model: CostModel = DEFAULT_MODEL):
 
     Precondition: t typechecks in ctx and env matches ctx pointwise.
     """
-    if isinstance(t, (sx.Var, sx.Yes, sx.No, sx.Zero, sx.Succ, sx.Triv)):
+    if isinstance(t, sx.VALUE_NODES):
         return _dval(t, tuple(env), model)
     return _dcomp(t, tuple(env), model)
 

@@ -24,7 +24,7 @@ from . import machine as mc
 from . import syntax as sx
 from .cost import DEFAULT_MODEL, NAT_MONOID, CostModel, Phase
 from .outcome import DIVERGES, EXHAUSTED, Defined
-from .typecheck import TypeCheckError, check_program, infer
+from .typecheck import TypeCheckError, check_program, infer, program_type
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +576,12 @@ DIVERGENT_STEP_CAP = 12
 
 
 def _ground_f_type(t, model):
-    """First ground returner type the closed term checks at, if any."""
-    for ft in _GROUND_F:
-        try:
-            check_program(t, ft, monoid=model.monoid)
-            return ft
-        except TypeCheckError:
-            continue
-    return None
+    """The ground returner type the closed term is observed at, if any."""
+    try:
+        ct = program_type(t, model.monoid)
+    except TypeCheckError:
+        return None
+    return ct if ct in _GROUND_F else None
 
 
 def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
@@ -597,14 +595,12 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
     capped at DIVERGENT_STEP_CAP transitions (their transition graphs are
     cyclic modulo substitution, so a small prefix already covers each rule).
     Each [[e_k]] along the run is observed once and shared by the two
-    transitions it borders.  `programs` holds (name, term) pairs; ground
+    transitions it borders.  `programs` is a list of (name, term) pairs; ground
     returner types get the full check, other types only the vacuous
     terminal cases.
     """
     failures = []
-    cases = 0
     for name, e in programs:
-        cases += 1
         if _ground_f_type(e, model) is None:
             continue
         printed = sx.print_term(e)
@@ -638,7 +634,7 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
                         lambda f: _settle(e, f, model)[0], fuel, model)[0]
         if why:
             failures.append(Failure(f"big-step:{name}", (printed,), why, fuel))
-    return CheckReport("soundness", cases, tuple(failures))
+    return CheckReport("soundness", len(programs), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +645,12 @@ def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRep
     definedness, exact cost and value (machine steps and Laters are
     different budgets, which the rule's one retry allows for)."""
     failures = []
-    cases = 0
     for name, e in programs:
-        cases += 1
         printed = sx.print_term(e)
         verdict = adequacy_verdict(e, fuel, model)[0]
         if verdict is not None:
             failures.append(Failure(f"adequacy:{name}", (printed,), verdict, fuel))
-    return CheckReport("adequacy", cases, tuple(failures))
+    return CheckReport("adequacy", len(programs), tuple(failures))
 
 
 def adequacy_verdict(e, fuel, model):

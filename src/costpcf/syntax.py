@@ -151,6 +151,10 @@ class Ap(_Node):
 
 Term = Union[Var, Yes, No, Zero, Succ, Triv, Ret, Step, Bind, Ifz, Fix, Lam, Ap]
 
+# The value constructors.  Every other node is a computation, which is a
+# value only at thunk type.
+VALUE_NODES = (Var, Yes, No, Zero, Succ, Triv)
+
 YES = Yes()
 NO = No()
 ZERO = Zero()
@@ -212,33 +216,53 @@ def loose_range(t: Term) -> int:
     return r
 
 
+def _rebuild(t: Term, cutoff: int, at_var) -> Term:
+    """`t` with every free Var whose index is >= the cutoff replaced by
+    `at_var(index, cutoff)`, the cutoff rising by one under each binder.
+
+    A subterm with no such index (`loose_range` at most the cutoff) is
+    returned as is, so `_rebuild(t, c, f) is t` when `t` has no free index
+    >= c, and only the nodes above a replaced Var are rebuilt: every other
+    subtree of the result is shared with `t`.
+
+    The walker reads a node's cached range directly, and dispatches on exact
+    node type, most frequent first: no class subclasses a term node.
+    """
+    def go(t: Term, cutoff: int) -> Term:
+        r = t._range
+        if r is None:
+            r = loose_range(t)
+        if r <= cutoff:
+            return t
+        kind = type(t)
+        if kind is Var:
+            return at_var(t.index, cutoff)
+        if kind is Ifz:
+            return Ifz(go(t.scrut, cutoff), go(t.zcase, cutoff), go(t.scase, cutoff + 1))
+        if kind is Ap:
+            return Ap(go(t.fun, cutoff), go(t.arg, cutoff))
+        if kind is Step:
+            return Step(t.cost, go(t.body, cutoff))
+        if kind is Bind:
+            return Bind(go(t.head, cutoff), go(t.cont, cutoff + 1))
+        if kind is Lam:
+            return Lam(t.dom, go(t.body, cutoff + 1))
+        if kind is Ret:
+            return Ret(go(t.arg, cutoff))
+        if kind is Succ:
+            return Succ(go(t.arg, cutoff))
+        return Fix(go(t.body, cutoff + 1))
+
+    return go(t, cutoff)
+
+
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every free index >= cutoff.
 
-    Returns `t` itself when it has no such index (`loose_range(t) <= cutoff`).
-    Otherwise only the nodes above an index >= cutoff are rebuilt; every
-    other subtree of the result is shared with `t`.
+    Returns `t` itself when it has no such index (`loose_range(t) <= cutoff`);
+    otherwise shares every subtree that has none (see `_rebuild`).
     """
-    if loose_range(t) <= cutoff:
-        return t
-    if isinstance(t, Var):
-        return Var(t.index + by)
-    if isinstance(t, Succ):
-        return Succ(shift(t.arg, by, cutoff))
-    if isinstance(t, Ret):
-        return Ret(shift(t.arg, by, cutoff))
-    if isinstance(t, Step):
-        return Step(t.cost, shift(t.body, by, cutoff))
-    if isinstance(t, Bind):
-        return Bind(shift(t.head, by, cutoff), shift(t.cont, by, cutoff + 1))
-    if isinstance(t, Ifz):
-        return Ifz(shift(t.scrut, by, cutoff), shift(t.zcase, by, cutoff),
-                   shift(t.scase, by, cutoff + 1))
-    if isinstance(t, Fix):
-        return Fix(shift(t.body, by, cutoff + 1))
-    if isinstance(t, Lam):
-        return Lam(t.dom, shift(t.body, by, cutoff + 1))
-    return Ap(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
+    return _rebuild(t, cutoff, lambda i, _cutoff: Var(i + by))
 
 
 def subst(t: Term, replacement: Term, index: int = 0) -> Term:
@@ -249,45 +273,18 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
     applied at a hit is the number of binders crossed since the top-level
     call, not the current index (those differ whenever index > 0).
 
-    A subterm with no free index >= the current index (`loose_range` at most
-    that index) is returned as is, so `subst(t, r, k) is t` when `t` has no
-    free index >= k, and the result shares every subtree that does not
-    mention the eliminated index or one above it.  A closed replacement is
-    returned by `shift` as is, so it is never walked and every hit shares it.
-
-    The walker reads a node's cached range directly, and dispatches on exact
-    node type, most frequent first: no class subclasses a term node.
+    `subst(t, r, k) is t` when `t` has no free index >= k, and the result
+    shares every subtree that does not mention the eliminated index or one
+    above it (see `_rebuild`).  A closed replacement is returned by `shift`
+    as is, so it is never walked and every hit shares it.
     """
-    def go(t: Term, index: int, depth: int) -> Term:
-        r = t._range
-        if r is None:
-            r = loose_range(t)
-        if r <= index:
-            return t
-        kind = type(t)
-        if kind is Var:
-            return shift(replacement, depth) if t.index == index else Var(t.index - 1)
-        if kind is Ifz:
-            return Ifz(go(t.scrut, index, depth), go(t.zcase, index, depth),
-                       go(t.scase, index + 1, depth + 1))
-        if kind is Ap:
-            return Ap(go(t.fun, index, depth), go(t.arg, index, depth))
-        if kind is Step:
-            return Step(t.cost, go(t.body, index, depth))
-        if kind is Bind:
-            return Bind(go(t.head, index, depth), go(t.cont, index + 1, depth + 1))
-        if kind is Lam:
-            return Lam(t.dom, go(t.body, index + 1, depth + 1))
-        if kind is Ret:
-            return Ret(go(t.arg, index, depth))
-        if kind is Succ:
-            return Succ(go(t.arg, index, depth))
-        return Fix(go(t.body, index + 1, depth + 1))
+    def at_var(i: int, cutoff: int) -> Term:
+        return shift(replacement, cutoff - index) if i == cutoff else Var(i - 1)
 
     # Fill the replacement's cache before descending: a hit deep inside `t`
     # must not recurse through the replacement on top of the stack so far.
     loose_range(replacement)
-    return go(t, index, 0)
+    return _rebuild(t, index, at_var)
 
 
 # ---------------------------------------------------------------------------

@@ -54,29 +54,48 @@ class TypeCheckError(Exception):
 
 
 @dataclass(frozen=True, eq=False)
-class _VMeta:
-    """Value-type metavariable (identity-based)."""
+class _Meta:
+    """Type metavariable (identity-based).  Whether it stands for a value or
+    a computation type follows from where it occurs."""
 
 
-@dataclass(frozen=True, eq=False)
-class _CMeta:
-    """Computation-type metavariable (identity-based)."""
+def show_type(t) -> str:
+    """Human-readable type, e.g. "F nat" or "nat -> F nat"."""
+    if isinstance(t, _Meta):
+        return "?"
+    if isinstance(t, sx.Ans):
+        return "ans"
+    if isinstance(t, sx.Nat):
+        return "nat"
+    if isinstance(t, sx.Unit):
+        return "unit"
+    if isinstance(t, sx.U):
+        return f"U ({show_type(t.comp)})"
+    if isinstance(t, sx.F):
+        inner = show_type(t.value)
+        if isinstance(t.value, sx.U):
+            inner = f"({inner})"
+        return f"F {inner}"
+    if isinstance(t, sx.Arrow):
+        dom = show_type(t.dom)
+        if isinstance(t.dom, sx.U):
+            dom = f"({dom})"
+        return f"{dom} -> {show_type(t.cod)}"
+    return repr(t)
 
 
-class _Solver:
-    def __init__(self):
+class _Infer:
+    """One inference pass, solving the unification constraints on its
+    metavariables as it meets them."""
+
+    def __init__(self, monoid):
+        self.monoid = monoid
         self.solutions: dict = {}
-
-    def fresh_v(self) -> _VMeta:
-        return _VMeta()
-
-    def fresh_c(self) -> _CMeta:
-        return _CMeta()
 
     def resolve(self, t):
         # Keyed by the meta object itself (identity hash): an id()-keyed dict
         # would let a collected meta's address be reused by a fresh one.
-        while isinstance(t, (_VMeta, _CMeta)) and t in self.solutions:
+        while isinstance(t, _Meta) and t in self.solutions:
             t = self.solutions[t]
         return t
 
@@ -90,16 +109,18 @@ class _Solver:
             return sx.Arrow(self.zonk(t.dom), self.zonk(t.cod))
         return t
 
-    def _occurs(self, meta, t) -> bool:
+    def _occurs(self, t, meta=None) -> bool:
+        """Whether `t` mentions `meta`, or any unsolved metavariable when
+        `meta` is None."""
         t = self.resolve(t)
-        if t is meta:
-            return True
+        if isinstance(t, _Meta):
+            return meta is None or t is meta
         if isinstance(t, sx.U):
-            return self._occurs(meta, t.comp)
+            return self._occurs(t.comp, meta)
         if isinstance(t, sx.F):
-            return self._occurs(meta, t.value)
+            return self._occurs(t.value, meta)
         if isinstance(t, sx.Arrow):
-            return self._occurs(meta, t.dom) or self._occurs(meta, t.cod)
+            return self._occurs(t.dom, meta) or self._occurs(t.cod, meta)
         return False
 
     def unify(self, a, b, path, what):
@@ -107,12 +128,12 @@ class _Solver:
         b = self.resolve(b)
         if a is b:
             return
-        if isinstance(a, (_VMeta, _CMeta)):
-            if self._occurs(a, b):
+        if isinstance(a, _Meta):
+            if self._occurs(b, a):
                 raise TypeCheckError(f"{what}: infinite type", path)
             self.solutions[a] = b
             return
-        if isinstance(b, (_VMeta, _CMeta)):
+        if isinstance(b, _Meta):
             self.unify(b, a, path, what)
             return
         if isinstance(a, (sx.Ans, sx.Nat, sx.Unit)) and type(a) is type(b):
@@ -127,60 +148,20 @@ class _Solver:
             self.unify(a.dom, b.dom, path, what)
             self.unify(a.cod, b.cod, path, what)
             return
-        raise TypeCheckError(f"{what}: {_show(self.zonk(a))} does not match {_show(self.zonk(b))}", path)
+        raise TypeCheckError(f"{what}: {show_type(self.zonk(a))} does not match {show_type(self.zonk(b))}", path)
 
-    def has_meta(self, t) -> bool:
+    def _split(self, t, shape, path, what, error):
+        """The parts of `t` as a `shape` type (sx.U, sx.F or sx.Arrow).  An
+        unsolved metavariable is solved to that shape over fresh ones; any
+        other type raises `error`, its "{}" standing for that type."""
         t = self.resolve(t)
-        if isinstance(t, (_VMeta, _CMeta)):
-            return True
-        if isinstance(t, sx.U):
-            return self.has_meta(t.comp)
-        if isinstance(t, sx.F):
-            return self.has_meta(t.value)
-        if isinstance(t, sx.Arrow):
-            return self.has_meta(t.dom) or self.has_meta(t.cod)
-        return False
-
-
-def _show(t) -> str:
-    """Human-readable type, e.g. "F nat" or "nat -> F nat"."""
-    if isinstance(t, (_VMeta, _CMeta)):
-        return "?"
-    if isinstance(t, sx.Ans):
-        return "ans"
-    if isinstance(t, sx.Nat):
-        return "nat"
-    if isinstance(t, sx.Unit):
-        return "unit"
-    if isinstance(t, sx.U):
-        return f"U ({_show(t.comp)})"
-    if isinstance(t, sx.F):
-        inner = _show(t.value)
-        if isinstance(t.value, sx.U):
-            inner = f"({inner})"
-        return f"F {inner}"
-    if isinstance(t, sx.Arrow):
-        dom = _show(t.dom)
-        if isinstance(t.dom, sx.U):
-            dom = f"({dom})"
-        return f"{dom} -> {_show(t.cod)}"
-    return repr(t)
-
-
-show_type = _show
-
-_VALUE_LEAVES = (sx.Var, sx.Yes, sx.No, sx.Zero, sx.Succ, sx.Triv)
-
-
-def is_value_term(t) -> bool:
-    """Intrinsic value constructors; computations are values only at thunk type."""
-    return isinstance(t, _VALUE_LEAVES)
-
-
-class _Infer:
-    def __init__(self, monoid):
-        self.monoid = monoid
-        self.s = _Solver()
+        if isinstance(t, _Meta):
+            parts = tuple(_Meta() for _ in shape.__match_args__)
+            self.unify(t, shape(*parts), path, what)
+            return parts
+        if isinstance(t, shape):
+            return tuple(getattr(t, name) for name in shape.__match_args__)
+        raise TypeCheckError(error.format(show_type(self.zonk(t))), path)
 
     # Value-type inference; computation terms coerce to thunk type U(X).
     def value(self, ctx, t, path):
@@ -194,7 +175,7 @@ class _Infer:
             return sx.NAT
         if isinstance(t, sx.Succ):
             a = self.value(ctx, t.arg, path + ("arg",))
-            self.s.unify(a, sx.NAT, path + ("arg",), "succ argument")
+            self.unify(a, sx.NAT, path + ("arg",), "succ argument")
             return sx.NAT
         if isinstance(t, sx.Triv):
             return sx.UNIT
@@ -202,18 +183,10 @@ class _Infer:
 
     # Computation-type inference; thunk-typed values coerce to computations.
     def comp(self, ctx, t, path):
-        if is_value_term(t):
-            a = self.value(ctx, t, path)
-            a = self.s.resolve(a)
-            if isinstance(a, sx.U):
-                return a.comp
-            if isinstance(a, _VMeta):
-                x = self.s.fresh_c()
-                self.s.unify(a, sx.U(x), path, "forced value")
-                return x
-            raise TypeCheckError(
-                f"value of type {_show(self.s.zonk(a))} used as a computation (not a thunk)", path
-            )
+        if isinstance(t, sx.VALUE_NODES):
+            (x,) = self._split(self.value(ctx, t, path), sx.U, path, "forced value",
+                               "value of type {} used as a computation (not a thunk)")
+            return x
         if isinstance(t, sx.Ret):
             return sx.F(self.value(ctx, t.arg, path + ("arg",)))
         if isinstance(t, sx.Step):
@@ -223,45 +196,29 @@ class _Infer:
                 )
             return self.comp(ctx, t.body, path + ("body",))
         if isinstance(t, sx.Bind):
-            h = self.s.resolve(self.comp(ctx, t.head, path + ("head",)))
-            if isinstance(h, sx.F):
-                a = h.value
-            elif isinstance(h, _CMeta):
-                a = self.s.fresh_v()
-                self.s.unify(h, sx.F(a), path + ("head",), "bind head")
-            else:
-                raise TypeCheckError(
-                    f"bind head has type {_show(self.s.zonk(h))}, not an F type", path + ("head",)
-                )
+            (a,) = self._split(self.comp(ctx, t.head, path + ("head",)), sx.F, path + ("head",),
+                               "bind head", "bind head has type {}, not an F type")
             return self.comp((a,) + ctx, t.cont, path + ("cont",))
         if isinstance(t, sx.Ifz):
             sc = self.value(ctx, t.scrut, path + ("scrut",))
-            self.s.unify(sc, sx.NAT, path + ("scrut",), "ifz scrutinee")
+            self.unify(sc, sx.NAT, path + ("scrut",), "ifz scrutinee")
             zx = self.comp(ctx, t.zcase, path + ("zcase",))
             sxx = self.comp((sx.NAT,) + ctx, t.scase, path + ("scase",))
-            self.s.unify(zx, sxx, path, "ifz branches")
+            self.unify(zx, sxx, path, "ifz branches")
             return zx
         if isinstance(t, sx.Fix):
-            x = self.s.fresh_c()
+            x = _Meta()
             body = self.comp((sx.U(x),) + ctx, t.body, path + ("body",))
-            self.s.unify(body, x, path, "fix body")
+            self.unify(body, x, path, "fix body")
             return x
         if isinstance(t, sx.Lam):
             body = self.comp((t.dom,) + ctx, t.body, path + ("body",))
             return sx.Arrow(t.dom, body)
         if isinstance(t, sx.Ap):
-            f = self.s.resolve(self.comp(ctx, t.fun, path + ("fun",)))
-            if isinstance(f, sx.Arrow):
-                dom, cod = f.dom, f.cod
-            elif isinstance(f, _CMeta):
-                dom, cod = self.s.fresh_v(), self.s.fresh_c()
-                self.s.unify(f, sx.Arrow(dom, cod), path + ("fun",), "ap head")
-            else:
-                raise TypeCheckError(
-                    f"ap head has type {_show(self.s.zonk(f))}, not an arrow", path + ("fun",)
-                )
+            dom, cod = self._split(self.comp(ctx, t.fun, path + ("fun",)), sx.Arrow, path + ("fun",),
+                                   "ap head", "ap head has type {}, not an arrow")
             a = self.value(ctx, t.arg, path + ("arg",))
-            self.s.unify(a, dom, path + ("arg",), "ap argument")
+            self.unify(a, dom, path + ("arg",), "ap argument")
             return cod
         raise TypeCheckError(f"not a term: {t!r}", path)
 
@@ -274,37 +231,45 @@ def infer(ctx, t, expected=None, monoid=NAT_MONOID) -> TypeJudgment:
     """
     ctx = tuple(ctx)
     inf = _Infer(monoid)
-    if is_value_term(t):
-        a = inf.value(ctx, t, ())
+    if not isinstance(t, sx.VALUE_NODES):
+        kind, ty = Computation, inf.comp(ctx, t, ())
         if expected is not None:
-            # A value checks against a computation type only via the thunk reading.
-            a_r = inf.s.resolve(a)
-            if isinstance(a_r, (sx.U, _VMeta)):
-                inf.s.unify(a_r, sx.U(expected), (), "expected type")
-                x = inf.s.zonk(expected)
-                return TypeJudgment(ctx, t, Computation(x))
+            inf.unify(ty, expected, (), "expected type")
+    elif expected is None:
+        kind, ty = Value, inf.value(ctx, t, ())
+    else:
+        # A value checks against a computation type only via the thunk reading.
+        a = inf.value(ctx, t, ())
+        if not isinstance(inf.resolve(a), (sx.U, _Meta)):
             raise TypeCheckError(
-                f"expected computation of type {_show(expected)}, found value of type {_show(inf.s.zonk(a))}",
+                f"expected computation of type {show_type(expected)}, found value of type {show_type(inf.zonk(a))}",
                 (),
             )
-        a = inf.s.zonk(a)
-        if inf.s.has_meta(a):
-            raise TypeCheckError(
-                "ambiguous type: add a surrounding context that determines it",
-                (), ambiguous=True)
-        return TypeJudgment(ctx, t, Value(a))
-    x = inf.comp(ctx, t, ())
-    if expected is not None:
-        inf.s.unify(x, expected, (), "expected type")
-    x = inf.s.zonk(x)
-    if inf.s.has_meta(x):
+        inf.unify(a, sx.U(expected), (), "expected type")
+        kind, ty = Computation, expected
+    ty = inf.zonk(ty)
+    if inf._occurs(ty):
         raise TypeCheckError(
             "ambiguous type: add a surrounding context that determines it",
             (), ambiguous=True)
-    return TypeJudgment(ctx, t, Computation(x))
+    return TypeJudgment(ctx, t, kind(ty))
 
 
 def check_program(t, expected, monoid=NAT_MONOID):
     """Check a closed computation against an expected type.  Returns the
     TypeJudgment on success, raises TypeCheckError otherwise."""
     return infer((), t, expected=expected, monoid=monoid)
+
+
+def program_type(t, monoid=NAT_MONOID):
+    """The type a closed program is run and observed at: its inferred type,
+    or `F unit` when inference leaves the type open (the paper's adequacy
+    observes complete programs at base type, e.g. `(fix x x)`).  Raises
+    TypeCheckError when the term is ill typed, or open at a type that is
+    not `F unit` (e.g. `nat -> ?`)."""
+    try:
+        return infer((), t, monoid=monoid).classification.type
+    except TypeCheckError as e:
+        if not e.ambiguous:
+            raise
+        return check_program(t, sx.F(sx.UNIT), monoid).classification.type

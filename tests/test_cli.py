@@ -181,6 +181,34 @@ def test_denote_divergent_falls_back_to_unit_type(capsys, pcf):
     assert json.loads(out) == {"status": "diverges", "cost": None, "value": None}
 
 
+def test_denote_of_a_thunk_shows_no_value(capsys, pcf):
+    path = pcf("(ret (ret 3))")
+    rc, out, _ = run_main(capsys, "denote", path)
+    assert rc == 0
+    assert out == '{"status":"defined","cost":0,"value":null}\n'
+    rc, out, _ = run_main(capsys, "denote", path, "--pretty")
+    assert rc == 0
+    assert out == "defined, cost 0\n"
+
+
+# A program no run can prove divergent: it counts up forever.
+COUNT_UP = "(ap (fix f (lam nat n (step 1 (ap f (succ n))))) zero)"
+
+
+@pytest.mark.parametrize("command,src,line", [
+    ("profile", "(step 2 (ret triv))", "defined, cost 2"),
+    ("profile", "(fix x x)", "diverges"),
+    ("profile", COUNT_UP, "exhausted at fuel 40"),
+    ("denote", "(step 2 (ret 4))", "defined, cost 2, value 4"),
+    ("denote", "(fix x x)", "diverges"),
+    ("denote", COUNT_UP, "exhausted"),
+])
+def test_pretty_status_lines(capsys, pcf, command, src, line):
+    rc, out, _ = run_main(capsys, command, pcf(src), "--fuel", "40", "--pretty")
+    assert rc == 0
+    assert out == line + "\n"
+
+
 def test_denote_rejects_function_programs(capsys, pcf):
     rc, out, _ = run_main(capsys, "denote", pcf("(lam nat x (ret x))"))
     assert rc == 1

@@ -25,7 +25,7 @@ from costpcf.harness import (
 )
 from costpcf.outcome import DIVERGES, EXHAUSTED, Defined
 from costpcf.syntax import ANS, F, NAT, UNIT, Arrow, Ret, U
-from costpcf.typecheck import Computation, infer
+from costpcf.typecheck import Computation, TypeCheckError, check_program, infer
 
 TARGETS = (
     F(UNIT), F(NAT), F(ANS),
@@ -184,6 +184,46 @@ def test_soundness_suite_smoke():
     rep = check_soundness(load_corpus(), fuel=100_000)
     assert rep.failures == ()
     assert rep.cases == 25
+
+
+def first_accepted_ground_f_type(t, model):
+    """The reference rule: the first of F unit, F nat and F ans that
+    `check_program` accepts, or None."""
+    for ft in (F(UNIT), F(NAT), F(ANS)):
+        try:
+            check_program(t, ft, monoid=model.monoid)
+            return ft
+        except TypeCheckError:
+            continue
+    return None
+
+
+# Programs whose type inference leaves open, or that fail a ground check.
+OPEN_PROGRAMS = (
+    "(fix x x)", "(fix x (step 1 x))", "(bind (fix x x) y (ret y))",
+    "(bind (fix x x) y (ret triv))", "(bind (fix x x) y (ifz y (ret yes) p (ret no)))",
+    "(ap (fix x x) 3)", "(fix f (lam nat n (ap f n)))", "(lam nat n (fix x x))",
+    "(ret (fix x x))", "3", "yes", "(ap (ret triv) 3)",
+)
+
+
+def test_ground_f_type_is_the_first_ground_type_that_checks():
+    vec2 = CostModel(vector_monoid(2))
+    programs = [t for _, t in load_corpus()]
+    programs += [sx.parse(src) for src in OPEN_PROGRAMS]
+    programs += [sx.parse(src, vec2.monoid) for src in ("(step [1,2] (ret triv))",
+                                                         "(step [0,3] (fix x x))")]
+    for frac in (0.0, 1.0):
+        for monoid in (DEFAULT_MODEL.monoid, vec2.monoid):
+            programs += [t for t, _ in gen_programs(3, 150, hz._GROUND_F, terminating_frac=frac,
+                                                    monoid=monoid, depth_range=(2, 5))]
+    seen = set()
+    for t in programs:
+        for model in (DEFAULT_MODEL, vec2):
+            want = first_accepted_ground_f_type(t, model)
+            assert hz._ground_f_type(t, model) == want, sx.print_term(t)
+            seen.add(want)
+    assert seen == {F(UNIT), F(NAT), F(ANS), None}
 
 
 def test_adequacy_suite_smoke():

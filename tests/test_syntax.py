@@ -194,6 +194,24 @@ def test_subst_matches_named_oracle():
             assert subst(tt, rr, k) == expect, print_term(t, n)
 
 
+def test_shift_matches_named_oracle():
+    # shift(t, by, c) reads t in its context with `by` fresh slots put in
+    # at position c: indices below c stay, the others move up by `by`.
+    rng = random.Random(20261018)
+    for _ in range(150):
+        n = rng.randint(0, 4)
+        t = random_term(rng, n, rng.randint(0, 6))
+        full = [f"g{i}" for i in range(n)]
+        named = to_named(t, full)
+        for by in (1, 2, 3):
+            for c in range(n + 1):
+                wider = full[:c] + [f"h{j}" for j in range(by)] + full[c:]
+                expect = from_named(named, wider)
+                cold = fresh_copy(t)
+                assert shift(cold, by, c) == expect, (print_term(t, n), by, c)
+                assert shift(cold, by, c) == expect  # warm caches
+
+
 def test_loose_range_matches_free_index_scan():
     rng = random.Random(11)
     for _ in range(300):

@@ -8,13 +8,14 @@ import pytest
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
-from costpcf.cost import NAT_MONOID, vector_monoid
+from costpcf.cost import NAT_MONOID, get_monoid, vector_monoid
 from costpcf.syntax import (
     ANS, NAT, TRIV, UNIT, ZERO,
     Ap, Arrow, Bind, F, Fix, Ifz, Lam, Ret, Step, Succ, U, Var, parse,
+    parse_comp_type,
 )
 from costpcf.typecheck import (
-    Computation, TypeCheckError, Value, check_program, infer, show_type,
+    Computation, TypeCheckError, Value, check_program, infer, program_type, show_type,
 )
 
 
@@ -123,6 +124,66 @@ def test_error_json_shape():
         assert isinstance(blob["msg"], str)
     else:
         pytest.fail("no error")
+
+
+# (source, monoid the source is parsed under, expected type or None for
+# inference) -> the exact TypeCheckError.to_json() and its ambiguity flag.
+TYPE_ERRORS = [
+    ("3", "nat", "(F unit)",
+     [], "expected computation of type F unit, found value of type nat", False),
+    ("(fix x x)", "nat", None,
+     [], "ambiguous type: add a surrounding context that determines it", True),
+    ("(bind (fix x x) y (ret y))", "nat", None,
+     [], "ambiguous type: add a surrounding context that determines it", True),
+    ("(fix f (lam nat n (ap f n)))", "nat", None,
+     [], "ambiguous type: add a surrounding context that determines it", True),
+    ("(fix f (lam nat n (ap f n)))", "nat", "(F unit)",
+     [], "expected type: nat -> ? does not match F unit", False),
+    ("(ifz 0 (ret triv) p (ret p))", "nat", None,
+     [], "ifz branches: unit does not match nat", False),
+    ("(bind (fix x x) y (ifz y (ret triv) p (ret 3)))", "nat", None,
+     ["cont"], "ifz branches: unit does not match nat", False),
+    ("(ifz 0 (fix f (lam nat n (ap f n))) p (ret p))", "nat", None,
+     [], "ifz branches: nat -> ? does not match F nat", False),
+    ("(ap (ret triv) 3)", "nat", None,
+     ["fun"], "ap head has type F unit, not an arrow", False),
+    ("(bind (ret 3) x (ap (ret x) x))", "nat", None,
+     ["cont", "fun"], "ap head has type F nat, not an arrow", False),
+    ("(bind (lam nat n (ret n)) x (ret x))", "nat", None,
+     ["head"], "bind head has type nat -> F nat, not an F type", False),
+    ("(ret (lam nat n (ap n n)))", "nat", None,
+     ["arg", "body", "fun"], "value of type nat used as a computation (not a thunk)", False),
+    ("(ap (lam nat n (ret n)) yes)", "nat", None,
+     ["arg"], "ap argument: ans does not match nat", False),
+    ("(fix x (ret x))", "nat", None,
+     [], "fix body: infinite type", False),
+    ("(step [1,2] (ret triv))", "vec:2", None,
+     [], "step cost (1, 2) is not an element of monoid nat", False),
+]
+
+
+@pytest.mark.parametrize("src,monoid,expected,at,msg,ambiguous", TYPE_ERRORS)
+def test_type_errors_are_pinned(src, monoid, expected, at, msg, ambiguous):
+    t = parse(src, get_monoid(monoid))
+    expected = None if expected is None else parse_comp_type(expected)
+    with pytest.raises(TypeCheckError) as ei:
+        infer((), t, expected=expected)
+    assert ei.value.to_json() == {"error": "type", "at": at, "msg": msg}
+    assert ei.value.ambiguous is ambiguous
+
+
+def test_program_type_reads_an_open_type_at_f_unit():
+    assert program_type(parse("(ret 3)")) == F(NAT)
+    assert program_type(parse("(lam nat n (ret n))")) == Arrow(NAT, F(NAT))
+    assert program_type(parse("3")) == NAT
+    assert program_type(parse("(fix x x)")) == F(UNIT)
+    assert program_type(parse("(bind (fix x x) y (ret y))")) == F(UNIT)
+    # Open, but not at a type that F unit can close: the F unit check's error.
+    for src in ("(fix f (lam nat n (ap f n)))", "(ret (fix x x))"):
+        with pytest.raises(TypeCheckError) as ei:
+            program_type(parse(src))
+        assert not ei.value.ambiguous
+        assert ei.value.msg.startswith("expected type: ")
 
 
 def test_show_type_strings():
