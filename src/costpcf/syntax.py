@@ -228,32 +228,30 @@ def _rebuild(t: Term, cutoff: int, at_var) -> Term:
     The walker reads a node's cached range directly, and dispatches on exact
     node type, most frequent first: no class subclasses a term node.
     """
-    def go(t: Term, cutoff: int) -> Term:
-        r = t._range
-        if r is None:
-            r = loose_range(t)
-        if r <= cutoff:
-            return t
-        kind = type(t)
-        if kind is Var:
-            return at_var(t.index, cutoff)
-        if kind is Ifz:
-            return Ifz(go(t.scrut, cutoff), go(t.zcase, cutoff), go(t.scase, cutoff + 1))
-        if kind is Ap:
-            return Ap(go(t.fun, cutoff), go(t.arg, cutoff))
-        if kind is Step:
-            return Step(t.cost, go(t.body, cutoff))
-        if kind is Bind:
-            return Bind(go(t.head, cutoff), go(t.cont, cutoff + 1))
-        if kind is Lam:
-            return Lam(t.dom, go(t.body, cutoff + 1))
-        if kind is Ret:
-            return Ret(go(t.arg, cutoff))
-        if kind is Succ:
-            return Succ(go(t.arg, cutoff))
-        return Fix(go(t.body, cutoff + 1))
-
-    return go(t, cutoff)
+    r = t._range
+    if r is None:
+        r = loose_range(t)
+    if r <= cutoff:
+        return t
+    kind = type(t)
+    if kind is Var:
+        return at_var(t.index, cutoff)
+    if kind is Ifz:
+        return Ifz(_rebuild(t.scrut, cutoff, at_var), _rebuild(t.zcase, cutoff, at_var),
+                   _rebuild(t.scase, cutoff + 1, at_var))
+    if kind is Ap:
+        return Ap(_rebuild(t.fun, cutoff, at_var), _rebuild(t.arg, cutoff, at_var))
+    if kind is Step:
+        return Step(t.cost, _rebuild(t.body, cutoff, at_var))
+    if kind is Bind:
+        return Bind(_rebuild(t.head, cutoff, at_var), _rebuild(t.cont, cutoff + 1, at_var))
+    if kind is Lam:
+        return Lam(t.dom, _rebuild(t.body, cutoff + 1, at_var))
+    if kind is Ret:
+        return Ret(_rebuild(t.arg, cutoff, at_var))
+    if kind is Succ:
+        return Succ(_rebuild(t.arg, cutoff, at_var))
+    return Fix(_rebuild(t.body, cutoff + 1, at_var))
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -275,15 +273,17 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
 
     `subst(t, r, k) is t` when `t` has no free index >= k, and the result
     shares every subtree that does not mention the eliminated index or one
-    above it (see `_rebuild`).  A closed replacement is returned by `shift`
-    as is, so it is never walked and every hit shares it.
+    above it (see `_rebuild`).  A closed replacement (the only kind the
+    machine substitutes) needs no shift, so every hit shares it as is.
     """
     def at_var(i: int, cutoff: int) -> Term:
-        return shift(replacement, cutoff - index) if i == cutoff else Var(i - 1)
+        if i != cutoff:
+            return Var(i - 1)
+        return replacement if closed else shift(replacement, cutoff - index)
 
     # Fill the replacement's cache before descending: a hit deep inside `t`
     # must not recurse through the replacement on top of the stack so far.
-    loose_range(replacement)
+    closed = loose_range(replacement) == 0
     return _rebuild(t, index, at_var)
 
 
