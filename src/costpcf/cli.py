@@ -25,7 +25,7 @@ from . import syntax as sx
 from .cost import CostModel, Phase, get_monoid
 from .harness import SUITES, adequacy_verdict, run_suite
 from .outcome import DIVERGES, Defined
-from .typecheck import Computation, TypeCheckError, check_program, infer, program_type, show_type
+from .typecheck import TypeCheckError, check_program, infer, program_type, show_type
 
 DEFAULT_FUEL = 100_000
 
@@ -125,19 +125,6 @@ def typecheck(path, monoid, as_json):
     return 0
 
 
-def _well_typed_for_run(t, model):
-    """Well-typedness gate for machine commands: t must be a computation.
-    Ambiguity is not an error (the term is typeable, just not uniquely)."""
-    try:
-        judgment = infer((), t, monoid=model.monoid)
-    except TypeCheckError as e:
-        if not e.ambiguous:
-            raise
-    else:
-        if not isinstance(judgment.classification, Computation):
-            raise TypeCheckError("the machine runs computations, not values")
-
-
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--trace", "with_trace", is_flag=True, default=False,
@@ -146,7 +133,8 @@ def _well_typed_for_run(t, model):
 def step(path, with_trace, fuel, monoid, phase, as_json):
     """Run the abstract machine on PATH and summarize the trace."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
-    _well_typed_for_run(t, model)
+    if not isinstance(program_type(t, model.monoid), (sx.F, sx.Arrow)):
+        raise TypeCheckError("the machine runs computations, not values")
     tr = mc.trace(t, fuel, model, terms=with_trace)
     status = "truncated" if tr.truncated else "terminal"
     payload = {"status": status, "steps": len(tr.steps), "total": model.to_json(tr.total)}

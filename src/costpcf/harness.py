@@ -23,8 +23,8 @@ from . import denote as dn
 from . import machine as mc
 from . import syntax as sx
 from .cost import DEFAULT_MODEL, NAT_MONOID, CostModel, Phase
-from .outcome import DIVERGES, EXHAUSTED, Defined
-from .typecheck import TypeCheckError, check_program, infer, program_type
+from .outcome import EXHAUSTED, Defined
+from .typecheck import TypeCheckError, program_type
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +288,30 @@ def load_corpus():
 RETRY_FACTOR = 4
 
 
+def _answer(value):
+    """A Defined outcome's value as ground data, read by the semantics that
+    produced it: a machine terminal ret(v) by `sx.ground_json`, a semantic
+    value by `dn.ground_json`.  A thunk or a function reads as None."""
+    if isinstance(value, sx.Ret):
+        return sx.ground_json(value.arg)
+    return dn.ground_json(value)
+
+
 def disagreement(o1, o2, model):
     """Why outcomes o1 and o2 disagree, or None when they agree.
 
     Two Defined outcomes agree when their costs are equal (`model.eq`) and
-    so are their values.  A Defined outcome disagrees with any other; two
-    that are not Defined (Diverges or Exhausted) agree: neither settled."""
+    so are their answers (`_answer`), so two answers that are not ground
+    compare on definedness and cost only.  A Defined outcome disagrees with
+    any other; two that are not Defined (Diverges or Exhausted) agree:
+    neither settled."""
     d1, d2 = isinstance(o1, Defined), isinstance(o2, Defined)
     if d1 and d2:
         if not model.eq(o1.cost, o2.cost):
             return f"costs differ: {model.show(o1.cost)} vs {model.show(o2.cost)}"
-        if o1.value != o2.value:
-            return f"values differ: {o1.value!r} vs {o2.value!r}"
+        a1, a2 = _answer(o1.value), _answer(o2.value)
+        if a1 != a2:
+            return f"values differ: {a1!r} vs {a2!r}"
         return None
     if d1 or d2:
         return f"definedness differs: {o1!r} vs {o2!r}"
@@ -326,15 +338,6 @@ def _charged(c, outcome, model):
     if isinstance(outcome, Defined):
         return Defined(model.add(c, outcome.cost), outcome.value)
     return outcome
-
-
-def _settle(e, fuel, model):
-    """`mc.settle` with a terminal ret(v) replaced by [[v]], so that the
-    machine's outcome compares with an observation of the denotation."""
-    outcome, used = mc.settle(e, fuel, model)
-    if isinstance(outcome, Defined):
-        outcome = Defined(outcome.cost, dn.denote((), outcome.value.arg, (), model))
-    return outcome, used
 
 
 # ---------------------------------------------------------------------------
@@ -456,119 +459,6 @@ def check_laws(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRepo
 
 
 # ---------------------------------------------------------------------------
-# Suite: machine metatheory (determinism, preservation, eval functionality,
-# fuel monotonicity)
-
-def _tweak_ground(v):
-    """A different ground value of the same type, for functionality checks."""
-    if isinstance(v, sx.Yes):
-        return sx.NO
-    if isinstance(v, sx.No):
-        return sx.YES
-    if isinstance(v, (sx.Zero, sx.Succ)):
-        return sx.Succ(v)
-    return None
-
-
-# Largest depth of a generated metatheory program, and how many of its
-# states are checked for preservation.
-METATHEORY_MAX_DEPTH = 8
-PRESERVATION_STEP_CAP = 25
-
-
-def check_machine_metatheory(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
-    """Machine-only metatheory on generated programs: `out` is deterministic,
-    every state within PRESERVATION_STEP_CAP steps preserves the initial
-    type, and eval is functional and fuel-monotone (Defined exactly from the
-    settling fuel on, Mismatch at a different ground target, Diverges or
-    Exhausted while unsettled).
-
-    It is not in SUITES: `check all` stdout is a pinned byte-for-byte oracle
-    (perfbench reads the suite list through SUITES too), and the battery would
-    pay for a sixth suite on every run.  Acceptance criterion 2 runs it.
-    """
-    rng = random.Random(seed)
-    failures = []
-    programs = gen_programs(seed=rng.randrange(2**62), count=cases, targets=_GROUND_F,
-                            terminating_frac=0.6, monoid=model.monoid,
-                            depth_range=(2, METATHEORY_MAX_DEPTH))
-
-    for idx, (e, target) in enumerate(programs):
-        name = f"meta[{idx}]"
-        printed = sx.print_term(e)
-        # Checking mode pins divergent skeletons like (fix x x) whose type
-        # is not determined by the term alone.
-        judgment = infer((), e, expected=target, monoid=model.monoid)
-
-        # Determinism: out is a function.
-        cur = e
-        for _ in range(3):
-            r1 = mc.out(cur, model)
-            r2 = mc.out(cur, model)
-            if r1 != r2:
-                failures.append(Failure(name, (printed,), f"out not deterministic: {r1!r} vs {r2!r}", fuel))
-                break
-            if isinstance(r1, mc.Terminal):
-                break
-            cur = r1.term
-
-        # Preservation: every reachable state checks at the initial type.
-        ct = judgment.classification.type
-        cur = e
-        for stepno in range(PRESERVATION_STEP_CAP):
-            r = mc.out(cur, model)
-            if isinstance(r, mc.Terminal):
-                break
-            cur = r.term
-            try:
-                check_program(cur, ct, monoid=model.monoid)
-            except TypeCheckError as err:
-                failures.append(Failure(
-                    name, (printed, sx.print_term(cur)),
-                    f"preservation broken at step {stepno}: {err}", fuel))
-                break
-
-        # Eval functionality and fuel monotonicity on the machine outcome.
-        res = mc.run(e, fuel, model)
-        if res is not None:
-            total, terminal, used = res
-            settled = Defined(total, terminal)
-            o_exact = mc.eval_term(e, terminal, used, model)
-            if o_exact != settled:
-                failures.append(Failure(
-                    name, (printed,), f"eval at exact fuel {used}: {o_exact!r}", fuel))
-            o_more = mc.eval_term(e, terminal, used + rng.randint(1, 50), model)
-            if o_more != settled:
-                failures.append(Failure(
-                    name, (printed,), f"eval not fuel-monotone: {o_more!r}", fuel))
-            if used > 0:
-                o_less = mc.eval_term(e, terminal, rng.randrange(used), model)
-                if isinstance(o_less, Defined):
-                    failures.append(Failure(
-                        name, (printed,), "eval Defined below the settling fuel", fuel))
-            if isinstance(terminal, sx.Ret):
-                other = _tweak_ground(terminal.arg)
-                if other is not None:
-                    o_other = mc.eval_term(e, sx.Ret(other), fuel, model)
-                    if isinstance(o_other, Defined):
-                        failures.append(Failure(
-                            name, (printed,),
-                            "eval functional violation: Defined at two targets", fuel))
-                    if o_other != mc.MISMATCH:
-                        failures.append(Failure(
-                            name, (printed,), f"expected Mismatch, got {o_other!r}", fuel))
-        else:
-            small = rng.randint(0, 30)
-            o_small = mc.eval_term(e, sx.Ret(sx.TRIV), small, model)
-            if o_small not in (DIVERGES, EXHAUSTED):
-                failures.append(Failure(
-                    name, (printed,),
-                    f"unsettled program gave {o_small!r} at fuel {small}", fuel))
-
-    return CheckReport("machine-metatheory", cases, tuple(failures))
-
-
-# ---------------------------------------------------------------------------
 # Suite: soundness (per-step and big-step)
 
 # Transitions checked per ground program that does not settle.
@@ -586,7 +476,8 @@ def _ground_f_type(t, model):
 
 def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
     """Per transition e -> (c, e'): [[e]] = c (+) [[e']].  Per terminating
-    program with terminal v: [[e]] = Defined(machine cost, [[v]]).
+    program with terminal ret(v): [[e]] is Defined with the machine's cost
+    and the answer v (compared as ground data, see `disagreement`).
 
     Per program that does not settle: the machine and [[e]] both diverge
     or run out of fuel.  Both checks use the one agreement rule.
@@ -595,9 +486,9 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
     capped at DIVERGENT_STEP_CAP transitions (their transition graphs are
     cyclic modulo substitution, so a small prefix already covers each rule).
     Each [[e_k]] along the run is observed once and shared by the two
-    transitions it borders.  `programs` is a list of (name, term) pairs; ground
-    returner types get the full check, other types only the vacuous
-    terminal cases.
+    transitions it borders.  `programs` is a list of (name, term) pairs;
+    only those of a ground returner type are checked, the others are
+    skipped (they still count in `cases`).
     """
     failures = []
     for name, e in programs:
@@ -605,7 +496,7 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
             continue
         printed = sx.print_term(e)
 
-        machine, used = _settle(e, fuel, model)
+        machine, used = mc.settle(e, fuel, model)
         cap = used if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
 
         # Prop: one transition preserves the denotation up to charging.
@@ -631,7 +522,7 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
 
         # Thm: machine evaluation is reflected exactly in the denotation.
         why = agreement(obs, machine, lambda f: dn.observe(whole, f, model),
-                        lambda f: _settle(e, f, model)[0], fuel, model)[0]
+                        lambda f: mc.settle(e, f, model)[0], fuel, model)[0]
         if why:
             failures.append(Failure(f"big-step:{name}", (printed,), why, fuel))
     return CheckReport("soundness", len(programs), tuple(failures))
@@ -661,7 +552,7 @@ def adequacy_verdict(e, fuel, model):
 
     def machine(f):
         fuels.append(f)
-        return _settle(e, f, model)[0]
+        return mc.settle(e, f, model)[0]
 
     def denotation(f):
         return dn.observe(delay, f, model)
@@ -819,16 +710,16 @@ def check_noninterference(functions, args, fuel, model: CostModel = DEFAULT_MODE
             cases += 1
             name = f"ni[{fidx}/{aidx}]"
             fx, fy = sx.Ap(f, x), sx.Ap(f, y)
-            why, ox, _ = agreement(_settle(fx, fuel, model)[0], _settle(fy, fuel, model)[0],
-                                   lambda n: _settle(fx, n, model)[0],
-                                   lambda n: _settle(fy, n, model)[0], fuel, ext)
+            why, ox, _ = agreement(mc.settle(fx, fuel, model)[0], mc.settle(fy, fuel, model)[0],
+                                   lambda n: mc.settle(fx, n, model)[0],
+                                   lambda n: mc.settle(fy, n, model)[0], fuel, ext)
             if why:
                 fail(name, f"answers differ: {why}", (f, x, y))
                 continue
             if not isinstance(ox, Defined):
                 continue  # not a terminating pair for this function; vacuous
-            ex = _settle(fx, fuel, ext)[0]
-            ey = _settle(fy, fuel, ext)[0]
+            ex = mc.settle(fx, fuel, ext)[0]
+            ey = mc.settle(fy, fuel, ext)[0]
             if disagreement(ex, ox, ext) or disagreement(ey, ox, ext):
                 fail(name, "extensional rerun changed the answer", (f, x, y))
             elif ext.show(ex.cost) != "*" or ext.show(ey.cost) != "*":

@@ -181,6 +181,16 @@ def as_numeral(t: Term):
     return n if isinstance(t, Zero) else None
 
 
+def ground_json(t: Term):
+    """A closed ground value as a JSON scalar: "triv", "yes", "no" or its
+    numeral's int; None for anything else (a thunk)."""
+    if isinstance(t, Triv):
+        return "triv"
+    if isinstance(t, (Yes, No)):
+        return "yes" if isinstance(t, Yes) else "no"
+    return as_numeral(t)
+
+
 # ---------------------------------------------------------------------------
 # Binding: loose range, shift and substitution
 

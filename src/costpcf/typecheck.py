@@ -6,7 +6,8 @@ U(X) mentions the result type X; we close it with unification metavariables.
 A term is well-typed when constraints solve; its classification is the unique
 zonked result.  If the result type itself is underdetermined (for example the
 bare `fix x x`), inference reports ambiguity, but checking against an expected
-type seeds the metavariable and succeeds.
+type seeds the metavariable and succeeds, and `program_type` reads each open
+metavariable at a default type.
 """
 
 from __future__ import annotations
@@ -99,14 +100,19 @@ class _Infer:
             t = self.solutions[t]
         return t
 
-    def zonk(self, t):
+    def zonk(self, t, default=False, comp=True):
+        """t with each solved metavariable replaced by its solution.  With
+        `default`, an unsolved one reads as `F unit` where a computation type
+        stands (`comp`: t is one) and as `unit` where a value type does."""
         t = self.resolve(t)
+        if isinstance(t, _Meta) and default:
+            return sx.F(sx.UNIT) if comp else sx.UNIT
         if isinstance(t, sx.U):
-            return sx.U(self.zonk(t.comp))
+            return sx.U(self.zonk(t.comp, default, True))
         if isinstance(t, sx.F):
-            return sx.F(self.zonk(t.value))
+            return sx.F(self.zonk(t.value, default, False))
         if isinstance(t, sx.Arrow):
-            return sx.Arrow(self.zonk(t.dom), self.zonk(t.cod))
+            return sx.Arrow(self.zonk(t.dom, default, False), self.zonk(t.cod, default, True))
         return t
 
     def _occurs(self, t, meta=None) -> bool:
@@ -263,13 +269,13 @@ def check_program(t, expected, monoid=NAT_MONOID):
 
 def program_type(t, monoid=NAT_MONOID):
     """The type a closed program is run and observed at: its inferred type,
-    or `F unit` when inference leaves the type open (the paper's adequacy
-    observes complete programs at base type, e.g. `(fix x x)`).  Raises
-    TypeCheckError when the term is ill typed, or open at a type that is
-    not `F unit` (e.g. `nat -> ?`)."""
-    try:
-        return infer((), t, monoid=monoid).classification.type
-    except TypeCheckError as e:
-        if not e.ambiguous:
-            raise
-        return check_program(t, sx.F(sx.UNIT), monoid).classification.type
+    each metavariable that inference leaves open read as `F unit` where a
+    computation type stands and as `unit` where a value type does (the
+    paper's adequacy observes complete programs at base type).  So
+    `(fix x x)` reads at `F unit`, `(ret (fix x x))` at `F (U (F unit))` and
+    `(fix f (lam nat n (ap f n)))` at `nat -> F unit`.  Raises
+    TypeCheckError when the term is ill typed."""
+    inf = _Infer(monoid)
+    if isinstance(t, sx.VALUE_NODES):
+        return inf.zonk(inf.value((), t, ()), default=True, comp=False)
+    return inf.zonk(inf.comp((), t, ()), default=True)

@@ -14,11 +14,12 @@ import costpcf.harness as hz
 import costpcf.syntax as sx
 from costpcf.cost import DEFAULT_MODEL
 from costpcf.harness import (
-    check_adequacy, check_laws, check_machine_metatheory,
-    check_noninterference, check_sequencing_laws, check_soundness,
+    check_adequacy, check_laws, check_noninterference, check_sequencing_laws, check_soundness,
     gen_ni_arg_pairs, gen_ni_functions, gen_programs,
     gen_sequencing_instances, load_corpus, run_suite,
 )
+from test_machine import check_eval, walk_both
+from test_typecheck import check_preservation
 
 
 def _criterion(log, number, name, budget_s, fn):
@@ -52,9 +53,14 @@ def test_criterion_1_monad_and_algebra_laws(acceptance_log):
 
 def test_criterion_2_machine_metatheory(acceptance_log):
     def go():
-        rep = _assert_clean(check_machine_metatheory(seed=12, cases=500, fuel=10_000))
-        return (f"{rep.cases} generated programs (depth <= {hz.METATHEORY_MAX_DEPTH}): "
-                "determinism, preservation, functionality, fuel monotonicity, 0 failures")
+        programs = gen_programs(12, 500, hz._GROUND_F, terminating_frac=0.6,
+                                depth_range=(2, 8))
+        for t, target in programs:
+            walk_both(t, 25)
+            check_preservation(t, target, 25)
+            check_eval(t, 10_000)
+        return (f"{len(programs)} generated programs (depth 2..8): determinism "
+                "against the oracle, preservation, functionality, fuel monotonicity")
     _criterion(acceptance_log, 2, "machine metatheory", 30, go)
 
 

@@ -215,6 +215,18 @@ def test_denote_rejects_function_programs(capsys, pcf):
     assert json.loads(out)["error"] == "type"
 
 
+# Open types, read at F (U (F unit)) and at nat -> F unit (`program_type`).
+@pytest.mark.parametrize("command,src,rc,out", [
+    ("step", "(ret (fix x x))", 0, '{"status":"terminal","steps":0,"total":0}'),
+    ("denote", "(ret (fix x x))", 0, '{"status":"defined","cost":0,"value":null}'),
+    ("step", "(fix f (lam nat n (ap f n)))", 0, '{"status":"terminal","steps":1,"total":0}'),
+    ("denote", "(fix f (lam nat n (ap f n)))", 1,
+     '{"error":"type","at":[],"msg":"denote requires a returner (F) program"}'),
+])
+def test_running_commands_read_an_open_type_at_its_default(capsys, pcf, command, src, rc, out):
+    assert run_main(capsys, command, pcf(src))[:2] == (rc, out + "\n")
+
+
 def test_step_summary_and_trace(capsys, pcf):
     path = pcf("(step 2 (step 3 (ret triv)))")
     rc, out, _ = run_main(capsys, "step", path)

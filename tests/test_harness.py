@@ -443,6 +443,31 @@ def test_agreement_rule(o1, o2, retry, agree):
     assert (why is None) == agree
 
 
+@pytest.mark.parametrize("terminal, value, why", [
+    ("triv", dn.TRIV, None), ("yes", dn.V_YES, None), ("no", dn.V_NO, None),
+    ("0", dn.VNum(0), None), ("7", dn.VNum(7), None),
+    ("yes", dn.V_NO, "values differ: 'yes' vs 'no'"), ("6", dn.VNum(7), "values differ: 6 vs 7"),
+    ("(ret 3)", dn.VThunk(dn.denote_closed(sx.parse("(ret 3)"))), None),
+])
+def test_disagreement_reads_each_answer_as_ground_data(terminal, value, why):
+    """Each semantics reads its own answer; thunks compare on cost only."""
+    o1, o2 = Defined(3, Ret(sx.parse(terminal))), Defined(3, value)
+    assert hz.disagreement(o1, o2, DEFAULT_MODEL) == why
+
+
+def test_soundness_catches_a_denotation_that_misreads_numerals(monkeypatch):
+    """Denoted numerals that saturate at 6 fail add.pcf, 3 + 4 on the machine."""
+    real = dn._dval
+
+    def saturating(t, env, model):
+        v = real(t, env, model)
+        return dn.VNum(min(v.n, 6)) if isinstance(v, dn.VNum) else v
+
+    monkeypatch.setattr(dn, "_dval", saturating)
+    (rep,) = run_suite("soundness", 1, 5000)
+    assert {f.case: f.detail for f in rep.failures}["big-step:add.pcf"] == "values differ: 6 vs 7"
+
+
 def test_agreement_reports_a_retry_that_still_does_not_settle():
     why, o1, _ = agreement(EXHAUSTED, ONE, lambda f: DIVERGES, None, 100, DEFAULT_MODEL)
     assert o1 is DIVERGES
@@ -480,7 +505,7 @@ def test_adequacy_retries_an_exhausted_side_once_at_four_times_the_fuel(monkeypa
     calls = spy_on_both_semantics(monkeypatch, EXHAUSTED, below=400)
     why, m, d, fuel = adequacy_verdict(sx.parse("(step 2 (ret triv))"), 100, DEFAULT_MODEL)
     assert why is None
-    assert (m, d, fuel) == (Defined(2, dn.TRIV), Defined(2, dn.TRIV), 400)
+    assert (m, d, fuel) == (Defined(2, Ret(sx.TRIV)), Defined(2, dn.TRIV), 400)
     assert calls == {"settle": [100, 400], "observe": [100]}
 
 

@@ -176,31 +176,35 @@ def test_fuel_counts_transitions_not_cost():
     assert profile(Step(0, Ret(TRIV)), 0) is EXHAUSTED
 
 
+def check_eval(t, fuel, model=DEFAULT_MODEL):
+    """`eval_term` on a closed ground returner t.  If t settles within fuel: one
+    Defined answer from exactly the settling fuel on, none below, Mismatch at
+    another ground target.  If not: never Defined; a proved divergence stays."""
+    outcome, used = settle(t, fuel, model)
+    where = sx.print_term(t)
+    if not isinstance(outcome, Defined):
+        for f in (0, used // 2, used):
+            assert eval_term(t, Ret(TRIV), f, model) in (DIVERGES, EXHAUSTED), where
+        assert outcome is EXHAUSTED or eval_term(t, Ret(TRIV), fuel + 37, model) is DIVERGES
+        return
+    for f in (used, used + 1, used + 37):
+        assert eval_term(t, outcome.value, f, model) == outcome, where
+    for f in {0, used // 2, used - 1} if used else ():
+        assert not isinstance(eval_term(t, outcome.value, f, model), Defined), where
+    v = outcome.value.arg
+    other = {sx.YES: sx.NO, sx.NO: sx.YES, TRIV: ZERO}.get(v, Succ(v))
+    assert eval_term(t, Ret(other), used, model) == Mismatch(), where
+
+
 def test_fuel_monotonicity_on_generated_programs():
-    programs = hz.gen_programs(2921, 150, (F(sx.UNIT),), terminating_frac=0.5)
-    for t, _ in programs:
-        o = profile(t, 400)
-        if isinstance(o, Defined) or o is DIVERGES:
-            for extra in (1, 37, 4000):
-                assert profile(t, 400 + extra) == o
-        else:
-            assert o is EXHAUSTED
+    for t, _ in hz.gen_programs(2921, 150, hz._GROUND_F, terminating_frac=0.5):
+        check_eval(t, 400)
 
 
 def test_eval_functionality():
     """At most one terminal value per program (first projection functional)."""
-    programs = hz.gen_programs(616, 120, (F(NAT), F(sx.ANS)), terminating_frac=0.9)
-    for t, _ in programs:
-        res = run(t, 2000)
-        if res is None:
-            continue
-        _, terminal, _ = res
-        if not isinstance(terminal, sx.Ret):
-            continue
-        assert isinstance(eval_term(t, terminal, 2000), Defined)
-        wrong = Ret(Succ(terminal.arg)) if not isinstance(terminal.arg, sx.Yes) \
-            else Ret(sx.NO)
-        assert eval_term(t, wrong, 2000) == Mismatch()
+    for t, _ in hz.gen_programs(616, 120, hz._GROUND_F, terminating_frac=0.9):
+        check_eval(t, 2000)
 
 
 def test_run_returns_settlement():
