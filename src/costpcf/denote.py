@@ -304,50 +304,61 @@ class GuardComp(SemComp):
 # The interpreter
 
 def _dval(t, env, model):
-    if isinstance(t, sx.Var):
+    """Dispatch is on exact node type, most frequent first in the `check
+    all` battery, as in `_unwind`: no class subclasses a term node."""
+    tp = type(t)
+    if tp is sx.Var:
         return env[t.index]
-    if isinstance(t, sx.Yes):
-        return V_YES
-    if isinstance(t, sx.No):
-        return V_NO
-    if isinstance(t, sx.Zero):
+    if tp is sx.Succ:
+        # One VNum per numeral: count the Succ chain down to its base, Zero
+        # or a variable bound to a number.
+        k = 0
+        while type(t) is sx.Succ:
+            k += 1
+            t = t.arg
+        return VNum(k if type(t) is sx.Zero else _dval(t, env, model).n + k)
+    if tp is sx.Zero:
         return VNum(0)
-    if isinstance(t, sx.Succ):
-        return VNum(_dval(t.arg, env, model).n + 1)
-    if isinstance(t, sx.Triv):
+    if tp is sx.Triv:
         return TRIV
+    if tp is sx.Yes:
+        return V_YES
+    if tp is sx.No:
+        return V_NO
     # A computation in value position is its own thunk.
     return VThunk(_dcomp(t, env, model))
 
 
 def _dcomp(t, env, model) -> SemComp:
-    if isinstance(t, sx.Var):
-        return env[t.index].comp
-    if isinstance(t, sx.Ret):
+    """Dispatch as in `_dval`."""
+    tp = type(t)
+    if tp is sx.Ap:
+        return _dcomp(t.fun, env, model).apply(_dval(t.arg, env, model))
+    if tp is sx.Ifz:
+        n = _dval(t.scrut, env, model).n
+        if n == 0:
+            return _dcomp(t.zcase, env, model)
+        return _dcomp(t.scase, (VNum(n - 1),) + env, model)
+    if tp is sx.Lam:
+        body = t.body
+        return FunComp(lambda v: _dcomp(body, (v,) + env, model))
+    if tp is sx.Ret:
         return FComp(eta(_dval(t.arg, env, model), model))
-    if isinstance(t, sx.Step):
-        return ChargeComp(t.cost, _dcomp(t.body, env, model), model)
-    if isinstance(t, sx.Bind):
+    if tp is sx.Bind:
         cont = t.cont
         return BindComp(
             _dcomp(t.head, env, model),
             lambda a: _dcomp(cont, (a,) + env, model),
         )
-    if isinstance(t, sx.Ifz):
-        n = _dval(t.scrut, env, model).n
-        if n == 0:
-            return _dcomp(t.zcase, env, model)
-        return _dcomp(t.scase, (VNum(n - 1),) + env, model)
-    if isinstance(t, sx.Fix):
+    if tp is sx.Var:
+        return env[t.index].comp
+    if tp is sx.Step:
+        return ChargeComp(t.cost, _dcomp(t.body, env, model), model)
+    if tp is sx.Fix:
         holder = [None]
         rec = VThunk(GuardComp(lambda: holder[0]))
         holder[0] = _dcomp(t.body, (rec,) + env, model)
         return holder[0]
-    if isinstance(t, sx.Lam):
-        body = t.body
-        return FunComp(lambda v: _dcomp(body, (v,) + env, model))
-    if isinstance(t, sx.Ap):
-        return _dcomp(t.fun, env, model).apply(_dval(t.arg, env, model))
     raise TypeError(f"not a computation term: {t!r}")
 
 

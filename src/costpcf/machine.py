@@ -13,32 +13,33 @@ plus congruence in the head of `bind` and the function position of `ap`
 (ifz scrutinees and ap arguments are values by typing, so nowhere else).
 Terminal states are exactly `ret(v)` and `lam(e)`.
 
-`out` exposes single transitions; eval/trace run on a persistent frame stack,
-so finding the next redex under a long bind/ap spine costs O(1) per step
-instead of O(depth).  The substitution a head rule performs is not O(1): it
-rebuilds only the subterms that mention the bound index and shares the rest,
-and the replacement, always closed here, is shared rather than copied (see
-`syntax.subst`).  It is also done once per (body, replacement) pair of node
-objects: the runner memoises it by identity, so a fix unfolding or a numeral
-substituted into the same body again returns the earlier result, the
-identical object.  The memo holds at most SUBST_MEMO_CAP entries.  Each run,
-and each `out` call, has a fresh memo of its own, except inside a `sharing()`
-scope, where every runner uses the scope's one memo: the harness opens one
-per named suite, whose runs redo each other's substitutions.  The memo is
-never process-wide: which nodes it holds decides the step at which `settle`
-proves a repeat, and so whether it does within its fuel, and a suite's
-answers must not depend on what ran before it.  One fuel unit is one fired
-head rule, which is exactly one `out` transition, hit or miss.
-`settle`, behind `run`, `eval_term` and `profile`, stops early and answers
-Diverges once it proves that a fix unfolding repeats forever; `trace` and
-`out` never do.
+The machine has one driver loop, `_Runner.advance`: it fires head rules
+on a persistent frame stack, so finding the next redex under a long bind/ap
+spine costs O(1) per step instead of O(depth).  `settle`, behind `run`,
+`eval_term` and `profile`, calls it once for the whole run; `trace` and
+`out` call it one transition at a time.  The substitution a head rule
+performs is not O(1): it rebuilds only the subterms that mention the bound
+index and shares the rest, and the replacement, always closed here, is
+shared rather than copied (see `syntax.subst`).  It is also done once per
+(body, replacement) pair of node objects: the runner memoises it by
+identity, so a fix unfolding or a numeral substituted into the same body
+again returns the earlier result, the identical object.  The memo holds at
+most SUBST_MEMO_CAP entries.  Each run, and each `out` call, has a fresh
+memo of its own, except inside a `sharing()` scope, where every runner uses
+the scope's one memo: the harness opens one per named suite, whose runs redo
+each other's substitutions.  The memo is never process-wide: which nodes it
+holds decides the step at which `settle` proves a repeat, and so whether it
+does within its fuel, and a suite's answers must not depend on what ran
+before it.  One fuel unit is one fired head rule, hit or miss.  Costs add
+left to right, in the order the `step`s fire.  `settle` stops early and
+answers Diverges once it proves that a fix unfolding repeats forever;
+`trace` and `out` never do.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
 
 from . import syntax as sx
 from .cost import DEFAULT_MODEL, CostModel
@@ -121,23 +122,14 @@ def sharing():
 
 
 class _Runner:
-    """Focus + frame stack form of the machine; fires one head rule per step."""
+    """Focus + frame stack form of the machine, driven by `advance`."""
 
-    def __init__(self, term, model: CostModel, watch: bool = False):
+    def __init__(self, term, model: CostModel):
         self.focus = term
         self.frames: list = []
         self.model = model
-        self.zero = model.zero()
-        # (id(body), id(arg)) -> (body, arg, body[arg]); see `subst`.
+        # (id(body), id(arg)) -> (body, arg, body[arg]); see `advance`.
         self.memo: dict = {} if _shared_memo is None else _shared_memo
-        # Repeat check, on when `watch` (see `run`): fix unfoldings so far,
-        # the fix node and a copy of the frame stack marked at the last
-        # power-of-two count, and the lowest stack height since then.
-        self.watch = watch
-        self.fixes = 0
-        self.mark = None
-        self.snapshot: list = []
-        self.low = 0
 
     def current_term(self):
         return _plug(self.frames, self.focus)
@@ -145,133 +137,136 @@ class _Runner:
     def at_terminal(self) -> bool:
         return not self.frames and is_terminal(self.focus)
 
-    def subst(self, body, arg):
-        """body[arg] at index 0, computed once per (body, arg) pair by identity.
+    def advance(self, fuel: int, watch: bool = False):
+        """Fire at most `fuel` transitions: (their costs added left to right,
+        how many fired).  It stops early at a terminal or, when watching, at
+        a repeat proven among this call's transitions (see `settle`);
+        `at_terminal` tells them apart.
 
-        The memo is this run's own, or the one of the `sharing` scope the
-        runner was built in.  `subst` is pure and nodes are immutable, so a
-        hit is exact, whichever run made the entry.  Each entry keeps its
-        body and arg alive, so their ids cannot be reused while it exists;
-        the memo is cleared when it reaches SUBST_MEMO_CAP entries, which
-        bounds its memory."""
-        key = (id(body), id(arg))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit[2]
-        if len(self.memo) >= SUBST_MEMO_CAP:
-            self.memo.clear()
-        result = sx.subst(body, arg)
-        self.memo[key] = (body, arg, result)
-        return result
+        This is the machine's one dispatch loop.  Dispatch is on exact node
+        type, most frequent first in the `check all` battery: no class
+        subclasses a term node.  Only a fired `step` adds its cost; the
+        other head rules cost zero.  A call that fires transitions but no
+        `step` returns zero plus zero, not zero itself: under the
+        Extensional phase that is STAR, as after any transition.
 
-    def repeats(self) -> bool:
-        """Whether unfolding the marked fix node again now repeats the state
-        at the mark, so the run would go on forever.
-
-        Either no frame present at the mark has been popped since, or the
-        stack is back at the marked height and every frame from the lowest
-        height since the mark up is the marked one at that height: the same
-        kind with the identical payload (`is`, since `==` on terms recurses)."""
-        frames, low, snapshot = self.frames, self.low, self.snapshot
-        if low >= len(snapshot):
-            return True
-        if len(frames) != len(snapshot):
-            return False
-        for i in range(len(frames) - 1, low - 1, -1):
-            kind, payload = frames[i]
-            if kind != snapshot[i][0] or payload is not snapshot[i][1]:
-                return False
-        return True
-
-    def step(self) -> Optional[object]:
-        """Fire one transition; returns its cost, or None at a terminal or,
-        when watching, at a proven repeat (`at_terminal` tells them apart).
-
-        Dispatch is on exact node type, most frequent first in the `check
-        all` battery: no class subclasses a term node."""
+        `subst` is pure and nodes are immutable, so a memo hit is exact,
+        whichever run made the entry.  Each entry keeps its body and arg
+        alive, so their ids cannot be reused while it exists."""
         focus = self.focus
         frames = self.frames
-        while True:
+        push, pop = frames.append, frames.pop
+        memo = self.memo
+        add = self.model.add
+        total = zero = self.model.zero()
+        used = 0
+        # Repeat check, on when `watch`: fix unfoldings so far, the fix node
+        # and a copy of the frame stack marked at the last power-of-two
+        # count, and the lowest stack height since then.
+        fixes = low = 0
+        mark = None
+        snapshot: list = []
+        while used < fuel:
             kind = type(focus)
             if kind is sx.Ap:
                 fun = focus.fun
-                if type(fun) is sx.Lam:
-                    self.focus = self.subst(fun.body, focus.arg)
-                    return self.zero
-                frames.append(("ap", focus.arg))
-                focus = fun
-                continue
-            if kind is sx.Ret:
+                if type(fun) is not sx.Lam:
+                    push(("ap", focus.arg))
+                    focus = fun
+                    continue
+                body, arg = fun.body, focus.arg
+            elif kind is sx.Ret:
                 if not frames:
-                    self.focus = focus
-                    return None
-                if frames[-1][0] != "bind":
                     break
-                cont = frames.pop()[1]
-                if len(frames) < self.low:
-                    self.low = len(frames)
-                self.focus = self.subst(cont, focus.arg)
-                return self.zero
-            if kind is sx.Ifz:
+                if frames[-1][0] != "bind":
+                    raise StuckError(_plug(frames, focus))
+                body, arg = pop()[1], focus.arg
+                if len(frames) < low:
+                    low = len(frames)
+            elif kind is sx.Ifz:
                 scrut = focus.scrut
                 if type(scrut) is sx.Zero:
-                    self.focus = focus.zcase
-                    return self.zero
+                    focus = focus.zcase
+                    used += 1
+                    continue
                 if type(scrut) is not sx.Succ:
-                    break
-                self.focus = self.subst(focus.scase, scrut.arg)
-                return self.zero
-            if kind is sx.Step:
-                self.focus = focus.body
-                return focus.cost
-            if kind is sx.Lam:
+                    raise StuckError(_plug(frames, focus))
+                body, arg = focus.scase, scrut.arg
+            elif kind is sx.Step:
+                total = add(total, focus.cost)
+                focus = focus.body
+                used += 1
+                continue
+            elif kind is sx.Lam:
                 if not frames:
-                    self.focus = focus
-                    return None
-                if frames[-1][0] != "ap":
                     break
-                arg = frames.pop()[1]
-                if len(frames) < self.low:
-                    self.low = len(frames)
-                self.focus = self.subst(focus.body, arg)
-                return self.zero
-            if kind is sx.Fix:
-                if self.watch:
-                    if focus is self.mark and self.repeats():
-                        self.focus = focus
-                        return None
-                    self.fixes += 1
-                    if not self.fixes & (self.fixes - 1):
-                        self.mark = focus
-                        self.snapshot = frames.copy()
-                        self.low = len(frames)
-                self.focus = self.subst(focus.body, focus)
-                return self.zero
-            if kind is not sx.Bind:
-                break  # values and variables are not computations
-            head = focus.head
-            if type(head) is sx.Ret:
-                self.focus = self.subst(focus.cont, head.arg)
-                return self.zero
-            frames.append(("bind", focus.cont))
-            focus = head
-        # No rule applies: a non-computation, a terminal facing the wrong
-        # frame, or an ifz on a non-numeral.
+                if frames[-1][0] != "ap":
+                    raise StuckError(_plug(frames, focus))
+                body, arg = focus.body, pop()[1]
+                if len(frames) < low:
+                    low = len(frames)
+            elif kind is sx.Fix:
+                if watch:
+                    if focus is mark and _repeats(frames, low, snapshot):
+                        break
+                    fixes += 1
+                    if not fixes & (fixes - 1):
+                        mark = focus
+                        snapshot = frames.copy()
+                        low = len(frames)
+                body, arg = focus.body, focus
+            elif kind is sx.Bind:
+                head = focus.head
+                if type(head) is not sx.Ret:
+                    push(("bind", focus.cont))
+                    focus = head
+                    continue
+                body, arg = focus.cont, head.arg
+            else:
+                raise StuckError(_plug(frames, focus))  # not a computation
+            key = (id(body), id(arg))
+            hit = memo.get(key)
+            if hit is None:
+                if len(memo) >= SUBST_MEMO_CAP:
+                    memo.clear()
+                hit = memo[key] = (body, arg, sx.subst(body, arg))
+            focus = hit[2]
+            used += 1
         self.focus = focus
-        raise StuckError(self.current_term())
+        if used and total is zero:
+            total = add(total, zero)
+        return total, used
+
+
+def _repeats(frames, low, snapshot) -> bool:
+    """Whether unfolding the marked fix node again now repeats the state at
+    the mark, so the run would go on forever.
+
+    Either no frame present at the mark has been popped since, or the stack
+    is back at the marked height and every frame from the lowest height
+    since the mark up is the marked one at that height: the same kind with
+    the identical payload (`is`, since `==` on terms recurses)."""
+    if low >= len(snapshot):
+        return True
+    if len(frames) != len(snapshot):
+        return False
+    for i in range(len(frames) - 1, low - 1, -1):
+        kind, payload = frames[i]
+        if kind != snapshot[i][0] or payload is not snapshot[i][1]:
+            return False
+    return True
 
 
 def out(e, model: CostModel = DEFAULT_MODEL) -> StepResult:
     """One transition of the closed computation e, or Terminal."""
     runner = _Runner(e, model)
-    cost = runner.step()
-    if cost is None:
-        return TERMINAL
-    return Next(cost, runner.current_term())
+    cost, used = runner.advance(1)
+    return Next(cost, runner.current_term()) if used else TERMINAL
 
 
 def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL, terms: bool = True) -> Trace:
-    """Iterate `out` at most fuel times, recording each (cost, term) step.
+    """Fire at most fuel transitions one at a time, recording each (cost,
+    term) step.
 
     With terms=False each step records None for its term, so no term is
     rebuilt from the frame stack per step."""
@@ -279,8 +274,8 @@ def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL, terms: bool = True) ->
     steps = []
     total = model.zero()
     for _ in range(fuel):
-        cost = runner.step()
-        if cost is None:
+        cost, used = runner.advance(1)
+        if not used:
             break
         total = model.add(total, cost)
         steps.append((cost, runner.current_term() if terms else None))
@@ -304,20 +299,13 @@ def settle(e, fuel: int, model: CostModel = DEFAULT_MODEL):
     whole machine state is the marked one.  Identity implies structural
     equality, so both are exact; the substitution memo (see the module
     docstring) makes equal unfoldings identical, so loops that rebuild an
-    inner fix or pass an argument on unchanged are caught too.  The loop
+    inner fix or pass an argument on unchanged are caught too.  The run
     only stops short of its budget at a terminal or at such a repeat, so
-    which one it was is read off once, after the loop.  `trace` and `out`
+    which one it was is read off once, afterwards.  `trace` and `out`
     never take this shortcut.
     """
-    runner = _Runner(e, model, watch=True)
-    total = model.zero()
-    used = 0
-    for _ in range(fuel):
-        cost = runner.step()
-        if cost is None:
-            break
-        total = model.add(total, cost)
-        used += 1
+    runner = _Runner(e, model)
+    total, used = runner.advance(fuel, watch=True)
     if runner.at_terminal():
         return Defined(total, runner.focus), used
     return (DIVERGES if used < fuel else EXHAUSTED), used

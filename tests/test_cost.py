@@ -2,16 +2,21 @@
 
 The monoid laws are checked by randomized enumeration over every registered
 instance; the phase tests pin the collapse behavior: under the extensional
-phase there is exactly one observable cost.
+phase there is exactly one observable cost.  A string monoid, which does
+not commute, pins the order in which both semantics add costs.
 """
 
 import random
 
 import pytest
 
+import costpcf.denote as dn
+import costpcf.machine as mc
 from costpcf.cost import (
-    DEFAULT_MODEL, NAT_MONOID, STAR, CostModel, Phase, get_monoid, vector_monoid,
+    DEFAULT_MODEL, NAT_MONOID, STAR, CostModel, CostMonoid, Phase, get_monoid, vector_monoid,
 )
+from costpcf.outcome import Defined
+from costpcf.syntax import TRIV, Ret, parse
 
 EXT = DEFAULT_MODEL.with_phase(Phase.EXTENSIONAL)
 
@@ -120,3 +125,28 @@ def test_with_phase_is_nondestructive():
     assert m.extensional and not DEFAULT_MODEL.extensional
     assert m == CostModel(DEFAULT_MODEL.monoid, Phase.EXTENSIONAL)
     assert m.monoid is DEFAULT_MODEL.monoid
+
+
+# Words under concatenation: "ab" and "ba" differ, so a sum shows its order.
+WORDS = CostModel(CostMonoid(
+    name="words", zero="", add=lambda a, b: a + b, parse=str, show=str,
+    contains=lambda c: isinstance(c, str),
+    sample=lambda rng, lo=0, hi=9: "xyz"[rng.randint(0, 2)] * rng.randint(lo, hi),
+))
+
+
+@pytest.mark.parametrize("src, want", [
+    ("(bind (step a (ret triv)) x (step b (step c (ret x))))", "abc"),
+    # b charges a bind, so observing meets it as a charge node after "a".
+    ("(bind (step a (ret triv)) x (step b (bind (step c (ret triv)) y (step d (ret y)))))",
+     "abcd"),
+])
+def test_both_semantics_add_costs_left_to_right(src, want):
+    t = parse(src, WORDS.monoid)
+    outcome, used = mc.settle(t, 20, WORDS)
+    assert outcome == Defined(want, Ret(TRIV))
+    tr = mc.trace(t, 20, WORDS, terms=False)
+    assert "".join(c for c, _ in tr.steps) == want
+    assert (tr.total, tr.truncated, len(tr.steps)) == (want, False, used)
+    d = dn.denote_closed(t, WORDS).to_delay()
+    assert dn.observe(d, 20, WORDS) == Defined(want, dn.TRIV)

@@ -12,7 +12,7 @@ import pytest
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
-from costpcf.cost import DEFAULT_MODEL, Phase, vector_monoid, CostModel
+from costpcf.cost import DEFAULT_MODEL, STAR, Phase, vector_monoid, CostModel
 from costpcf.machine import (
     Mismatch, StuckError, Terminal, Next, eval_term, out, profile, run, settle, trace,
 )
@@ -281,11 +281,23 @@ def test_extensional_phase_seals_profile():
     assert ext.show(o.cost) == "*"
 
 
+def test_extensional_settle_costs_star_after_any_transition():
+    """The cost object itself: the zero it starts from after no transition,
+    STAR after one, also when no `step` fired."""
+    ext = DEFAULT_MODEL.with_phase(Phase.EXTENSIONAL)
+    assert settle(Ret(TRIV), 10, ext) == (Defined(0, Ret(TRIV)), 0)
+    assert settle(Ret(TRIV), 10, ext)[0].cost is not STAR
+    for src, used in (("(bind (ret triv) x (ret x))", 1), ("(step 2 (ret triv))", 1),
+                      ("(bind (step 0 (ret triv)) x (ret x))", 2)):
+        outcome, n = settle(parse(src), 10, ext)
+        assert (outcome.cost, outcome.value, n) == (STAR, Ret(TRIV), used), src
+
+
 # ---------------------------------------------------------------------------
 # Repeat check and substitution memo: `run` may answer None early, but only
 # where the whole budget answers None too, and `run` and `trace` reuse
-# substitutions.  The reference steps a runner whose substitutions bypass
-# the memo; `out`, which builds a fresh runner, and so a fresh memo, for
+# substitutions.  The reference steps a runner whose memo remembers
+# nothing; `out`, which builds a fresh runner, and so a fresh memo, for
 # every transition, checks the terms of the first steps.
 
 EXACT_FUELS = (0, 1, 2, 3, 7, 64, 2000)
@@ -299,15 +311,23 @@ def exactness_programs():
     return programs
 
 
+class Forgetful(dict):
+    """A substitution memo that stores nothing, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def plain_steps(t, fuel):
-    """The costs of t's transitions within fuel, stepped without the memo,
-    and the terminal reached, or None if there is none within fuel."""
+    """The costs of t's transitions within fuel, stepped one at a time
+    without the memo, and the terminal reached, or None if there is none
+    within fuel."""
     runner = mc._Runner(t, DEFAULT_MODEL)
-    runner.subst = sx.subst
+    runner.memo = Forgetful()
     costs = []
     for _ in range(fuel):
-        cost = runner.step()
-        if cost is None:
+        cost, used = runner.advance(1)
+        if not used:
             break
         costs.append(cost)
     return costs, runner.focus if runner.at_terminal() else None
@@ -335,9 +355,11 @@ def fill_shared_memo(headroom):
     """Step a counting loop until the open scope's memo is `headroom`
     entries short of its cap; returns that memo."""
     runner = mc._Runner(parse(COUNTING_LOOP), DEFAULT_MODEL)
-    while len(runner.memo) < mc.SUBST_MEMO_CAP - headroom:
-        runner.step()
-    return runner.memo
+    for _ in range(10 * mc.SUBST_MEMO_CAP):
+        if len(runner.memo) >= mc.SUBST_MEMO_CAP - headroom:
+            return runner.memo
+        runner.advance(1)
+    raise AssertionError("the memo did not fill: its keys repeat")
 
 
 def test_run_matches_a_plain_step_loop_inside_a_sharing_scope():
@@ -407,19 +429,12 @@ def check_matches_plain_steps():
         assert trace(t, 64).steps == tuple(out_steps(t, 64)), name
 
 
-def step_tripwire(monkeypatch, limit):
-    """Count machine transitions; fail past limit.  Substitutions cannot
-    stand in for them: a loop whose unfoldings all hit the memo makes none."""
-    calls = []
-    real = mc._Runner.step
-
-    def counted(self):
-        calls.append(1)
-        assert len(calls) <= limit, "the run did not recognise its repeat"
-        return real(self)
-
-    monkeypatch.setattr(mc._Runner, "step", counted)
-    return calls
+def assert_proves_repeat(t):
+    """`settle` proves t's repeat within 7 transitions, counted by the
+    `used` it returns.  The fuel is small, so a run that misses its repeat
+    fails here at once instead of spinning through a large fuel."""
+    outcome, used = settle(t, 10)
+    assert outcome is DIVERGES and used <= 7, "the run did not recognise its repeat"
 
 
 REPEATING_FIXES = ["omega", "ticking_loop", "grow_loop"]
@@ -435,46 +450,35 @@ REPEATING_STATES = [
 
 
 @pytest.mark.parametrize("name", REPEATING_FIXES)
-def test_run_recognises_a_repeating_fix(monkeypatch, name):
+def test_run_recognises_a_repeating_fix(name):
     """grow_loop's frame stack grows by one bind per unfolding, yet nothing
     below the mark is ever popped: a repeat all the same."""
     t = dict(hz.load_corpus())[f"{name}.pcf"]
-    calls = step_tripwire(monkeypatch, 10)
+    assert_proves_repeat(t)
     assert run(t, 10**9) is None
     assert profile(t, 10**9) is DIVERGES
-    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("src", REPEATING_STATES)
-def test_run_recognises_a_repeating_machine_state(monkeypatch, src):
+def test_run_recognises_a_repeating_machine_state(src):
     t = parse(src)
-    calls = step_tripwire(monkeypatch, 10)
+    assert_proves_repeat(t)
     assert run(t, 10**9) is None
-    assert len(calls) <= 8
-    calls.clear()
     assert profile(t, 10**9) is DIVERGES
-    assert len(calls) <= 8
 
 
-def test_run_recognises_every_repeat_inside_a_sharing_scope(monkeypatch):
+def test_run_recognises_every_repeat_inside_a_sharing_scope():
     """The two tests above, twice over inside one scope, so that each run
     starts with the substitutions of the runs before it in the memo."""
     corpus = dict(hz.load_corpus())
-    calls = step_tripwire(monkeypatch, 10)
+    programs = [corpus[f"{name}.pcf"] for name in REPEATING_FIXES]
+    programs += [parse(src) for src in REPEATING_STATES]
     with mc.sharing():
         for _ in range(2):
-            for name in REPEATING_FIXES:
-                t = corpus[f"{name}.pcf"]
-                calls.clear()
+            for t in programs:
+                assert_proves_repeat(t)
                 assert run(t, 10**9) is None
                 assert profile(t, 10**9) is DIVERGES
-                assert len(calls) <= 8
-            for src in REPEATING_STATES:
-                t = parse(src)
-                for settles, want in ((run, None), (profile, DIVERGES)):
-                    calls.clear()
-                    assert settles(t, 10**9) is want
-                    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("name", ["countdown3", "countdown5", "ackermann"])
@@ -513,11 +517,11 @@ ADD_300_4 = ("(ap (ap (fix f (lam nat m (lam nat n (ifz m (ret n) p "
 
 
 def memo_sizes(t, fuel):
-    """Step a watched runner, as `run` does; the memo's size after each step."""
-    runner = mc._Runner(t, DEFAULT_MODEL, watch=True)
+    """Step a runner one transition at a time; the memo's size after each."""
+    runner = mc._Runner(t, DEFAULT_MODEL)
     sizes = []
     for _ in range(fuel):
-        if runner.step() is None:
+        if not runner.advance(1)[1]:
             break
         sizes.append(len(runner.memo))
     return sizes
