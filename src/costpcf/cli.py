@@ -179,8 +179,7 @@ def denote(path, fuel, monoid, phase, as_json):
     """Observe the denotation of PATH (a returner) at the given fuel."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
     if not isinstance(program_type(t, model.monoid), sx.F):
-        _emit({"error": "type", "at": [], "msg": "denote requires a returner (F) program"})
-        return 1
+        raise TypeCheckError("denote requires a returner (F) program")
     obs = dn.observe(dn.denote_closed(t, model).to_delay(), fuel, model)
     payload = _status(obs, model, cost=None, value=None)
     if isinstance(obs, Defined):

@@ -494,8 +494,6 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
     for name, e in programs:
         if _ground_f_type(e, model) is None:
             continue
-        printed = sx.print_term(e)
-
         machine, used = mc.settle(e, fuel, model)
         cap = used if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
 
@@ -515,7 +513,7 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
                             fuel, model)[0]
             if why:
                 failures.append(Failure(
-                    f"per-step:{name}", (printed, sx.print_term(cur)),
+                    f"per-step:{name}", (sx.print_term(e), sx.print_term(cur)),
                     f"transition {stepno}: {why}", fuel))
                 break
             cur, lhs, o_lhs = r.term, nxt, o_nxt
@@ -524,7 +522,7 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
         why = agreement(obs, machine, lambda f: dn.observe(whole, f, model),
                         lambda f: mc.settle(e, f, model)[0], fuel, model)[0]
         if why:
-            failures.append(Failure(f"big-step:{name}", (printed,), why, fuel))
+            failures.append(Failure(f"big-step:{name}", (sx.print_term(e),), why, fuel))
     return CheckReport("soundness", len(programs), tuple(failures))
 
 
@@ -537,10 +535,9 @@ def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRep
     different budgets, which the rule's one retry allows for)."""
     failures = []
     for name, e in programs:
-        printed = sx.print_term(e)
         verdict = adequacy_verdict(e, fuel, model)[0]
         if verdict is not None:
-            failures.append(Failure(f"adequacy:{name}", (printed,), verdict, fuel))
+            failures.append(Failure(f"adequacy:{name}", (sx.print_term(e),), verdict, fuel))
     return CheckReport("adequacy", len(programs), tuple(failures))
 
 

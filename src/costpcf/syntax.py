@@ -5,13 +5,17 @@ terms double as values at thunk type, so there are no explicit thunk/force
 constructors: a computation appearing in value position *is* the thunk.
 
 Concrete syntax is fully parenthesized s-expressions with `;` line comments.
-Binders carry names in concrete syntax only; the parser resolves them to
-indices and the printer regenerates canonical names from binding depth.
+`_FORMS` is the one home of its grammar: for each compound node it gives the
+keyword and the parts in concrete order, and both the parser and the printer
+read it.  One regex (`_LEXEME`) splits the source into tokens.  Binders carry
+names in concrete syntax only; the parser resolves them to indices and the
+printer regenerates canonical names from binding depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from typing import Union
 
 # ---------------------------------------------------------------------------
@@ -199,25 +203,27 @@ def loose_range(t: Term) -> int:
 
     Computed once per node, on first request, and cached outside the
     dataclass fields (see `_Node`).  Nodes are immutable, so the cached value
-    never goes stale.
+    never goes stale.  Dispatches on exact node type, as `_rebuild` does, most
+    frequent first (Succ and Ret in the battery and `scaled_eval`).
     """
     r = getattr(t, "_range", None)
     if r is not None:
         return r
-    if isinstance(t, Var):
-        r = t.index + 1
-    elif isinstance(t, (Succ, Ret)):
+    kind = type(t)
+    if kind is Succ or kind is Ret:
         r = loose_range(t.arg)
-    elif isinstance(t, Step):
-        r = loose_range(t.body)
-    elif isinstance(t, Bind):
-        r = max(loose_range(t.head), loose_range(t.cont) - 1)
-    elif isinstance(t, Ifz):
-        r = max(loose_range(t.scrut), loose_range(t.zcase), loose_range(t.scase) - 1)
-    elif isinstance(t, (Fix, Lam)):
-        r = max(loose_range(t.body) - 1, 0)
-    elif isinstance(t, Ap):
+    elif kind is Ap:
         r = max(loose_range(t.fun), loose_range(t.arg))
+    elif kind is Ifz:
+        r = max(loose_range(t.scrut), loose_range(t.zcase), loose_range(t.scase) - 1)
+    elif kind is Step:
+        r = loose_range(t.body)
+    elif kind is Bind:
+        r = max(loose_range(t.head), loose_range(t.cont) - 1)
+    elif kind is Var:
+        r = t.index + 1
+    elif kind is Lam or kind is Fix:
+        r = max(loose_range(t.body) - 1, 0)
     else:
         raise TypeError(f"not a term: {t!r}")
     # Not `t.__dict__[...]`: touching `__dict__` would give every node a
@@ -298,6 +304,45 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax: the grammar
+
+# The parts of a compound form.  A binder scopes over the subterms after it;
+# each other part fills the node's next dataclass field.
+_TERM, _BINDER, _COST, _TYPE = "term", "binder", "cost", "type"
+
+# Each compound node's keyword and parts, in concrete order.  Entry order is
+# the order a parse error lists the keywords in.
+_FORMS = {
+    Succ: ("succ", _TERM),
+    Ret: ("ret", _TERM),
+    Step: ("step", _COST, _TERM),
+    Bind: ("bind", _TERM, _BINDER, _TERM),
+    Ifz: ("ifz", _TERM, _TERM, _BINDER, _TERM),
+    Fix: ("fix", _BINDER, _TERM),
+    Lam: ("lam", _TYPE, _BINDER, _TERM),
+    Ap: ("ap", _TERM, _TERM),
+}
+
+_ATOMS = {"yes": YES, "no": NO, "zero": ZERO, "triv": TRIV}
+_TYPE_ATOMS = {"ans": ANS, "nat": NAT, "unit": UNIT}
+
+# The parser's view: keyword -> (node class, parts).
+_KEYWORDS = {keyword: (cls, parts) for cls, (keyword, *parts) in _FORMS.items()}
+_TERM_KEYWORDS = tuple(_KEYWORDS)
+
+
+def _printed_form(cls, keyword, parts):
+    """The printer's view of one form: its opening text, and each part with
+    the field it reads (None for a binder)."""
+    names = iter(f.name for f in fields(cls))
+    return "(" + keyword, tuple((p, None if p is _BINDER else next(names)) for p in parts)
+
+
+_PRINTED = {cls: _printed_form(cls, keyword, parts) for cls, (keyword, *parts) in _FORMS.items()}
+_ATOM_WORDS = {type(atom): word for word, atom in _ATOMS.items()}
+
+
+# ---------------------------------------------------------------------------
 # Concrete syntax: lexer
 
 class ParseError(Exception):
@@ -311,53 +356,33 @@ class ParseError(Exception):
         super().__init__(f"parse error at {where}: {msg}{hint}")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    column: int
+# One match per blank run, comment, newline, token or lone '['.  The groups
+# say which: 1 a newline, 2 a token (a parenthesis, a bracketed cost literal
+# or a word), 3 a '[' with no ']' after it; blanks and comments match none.
+# A word is a run of every other character, so each character of the source
+# falls in some match.  A newline inside a bracketed literal does not count
+# as a line.
+_BLANKS = r" \t\r"
+_LEXEME = re.compile(
+    rf"[{_BLANKS}]+|;[^\n]*|(\n)|([()]|\[[^\]]*\]|[^{_BLANKS}\n();\[]+)|(\[)")
 
 
 def _lex(source: str):
-    """Tokens, and the (line, column) just past the last character."""
+    """Tokens as (text, line, column), and the (line, column) just past the
+    last character."""
     toks = []
     line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line_start = 0
+    for m in _LEXEME.finditer(source):
+        group = m.lastindex
+        if group == 2:
+            toks.append((m.group(2), line, m.start() - line_start + 1))
+        elif group == 1:
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            col += j - i
-            i = j
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        elif ch == "[":
-            j = source.find("]", i)
-            if j < 0:
-                raise ParseError("unterminated '[' literal", line, col, ("]",))
-            toks.append(_Tok(source[i : j + 1], line, col))
-            col += j + 1 - i
-            i = j + 1
-        else:
-            j = i
-            while j < n and source[j] not in " \t\r\n();[":
-                j += 1
-            toks.append(_Tok(source[i:j], line, col))
-            col += j - i
-            i = j
-    return toks, (line, col)
+            line_start = m.end()
+        elif group == 3:
+            raise ParseError("unterminated '[' literal", line, m.start() - line_start + 1, ("]",))
+    return toks, (line, len(source) - line_start + 1)
 
 
 class _Tokens:
@@ -377,10 +402,9 @@ class _Tokens:
         return t
 
     def eat(self, text):
-        t = self.next((text,))
-        if t.text != text:
-            raise ParseError(f"unexpected '{t.text}'", t.line, t.column, (text,))
-        return t
+        got, line, column = self.next((text,))
+        if got != text:
+            raise ParseError(f"unexpected '{got}'", line, column, (text,))
 
     def done(self):
         return self._pos >= len(self._toks)
@@ -389,121 +413,87 @@ class _Tokens:
 # ---------------------------------------------------------------------------
 # Concrete syntax: parser
 
-_TERM_KEYWORDS = ("succ", "ret", "step", "bind", "ifz", "fix", "lam", "ap")
-_TYPE_KEYWORDS = ("U", "F", "->")
-
-_ATOMS = {"yes": YES, "no": NO, "zero": ZERO, "triv": TRIV}
-_TYPE_ATOMS = {"ans": ANS, "nat": NAT, "unit": UNIT}
-
-
 def _is_name(text: str) -> bool:
-    if text in _ATOMS or text in _TERM_KEYWORDS or text in _TYPE_ATOMS:
+    if text in _ATOMS or text in _KEYWORDS or text in _TYPE_ATOMS:
         return False
     return text[:1].isalpha() and all(c.isalnum() or c in "_'" for c in text)
 
 
 def _parse_value_type(ts: _Tokens):
-    t = ts.next(("ans", "nat", "unit", "("))
-    if t.text in _TYPE_ATOMS:
-        return _TYPE_ATOMS[t.text]
-    if t.text == "(":
-        head = ts.next(("U",))
-        if head.text != "U":
-            raise ParseError(f"unexpected '{head.text}' in value type", head.line, head.column, ("U",))
+    text, line, column = ts.next(("ans", "nat", "unit", "("))
+    if text in _TYPE_ATOMS:
+        return _TYPE_ATOMS[text]
+    if text == "(":
+        head, line, column = ts.next(("U",))
+        if head != "U":
+            raise ParseError(f"unexpected '{head}' in value type", line, column, ("U",))
         inner = _parse_comp_type(ts)
         ts.eat(")")
         return U(inner)
-    raise ParseError(f"unexpected '{t.text}' in value type", t.line, t.column, ("ans", "nat", "unit", "("))
+    raise ParseError(f"unexpected '{text}' in value type", line, column, ("ans", "nat", "unit", "("))
 
 
 def _parse_comp_type(ts: _Tokens):
-    t = ts.eat("(")
-    head = ts.next(("F", "->"))
-    if head.text == "F":
+    ts.eat("(")
+    head, line, column = ts.next(("F", "->"))
+    if head == "F":
         a = _parse_value_type(ts)
         ts.eat(")")
         return F(a)
-    if head.text == "->":
+    if head == "->":
         a = _parse_value_type(ts)
         x = _parse_comp_type(ts)
         ts.eat(")")
         return Arrow(a, x)
-    raise ParseError(f"unexpected '{head.text}' in computation type", head.line, head.column, ("F", "->"))
+    raise ParseError(f"unexpected '{head}' in computation type", line, column, ("F", "->"))
 
 
 def _parse_cost(ts: _Tokens, monoid):
-    t = ts.next(("cost literal",))
+    text, line, column = ts.next(("cost literal",))
     try:
-        return monoid.parse(t.text)
+        return monoid.parse(text)
     except ValueError as exc:
-        raise ParseError(str(exc), t.line, t.column, (f"{monoid.name} cost literal",)) from None
+        raise ParseError(str(exc), line, column, (f"{monoid.name} cost literal",)) from None
 
 
 def _parse_term(ts: _Tokens, names: list, monoid):
-    t = ts.next(("term",))
-    text = t.text
-    if text in _ATOMS:
-        return _ATOMS[text]
+    text, line, column = ts.next(("term",))
+    atom = _ATOMS.get(text)
+    if atom is not None:
+        return atom
     if text.isdigit():
         return numeral(int(text))
     if text == "(":
-        head = ts.next(_TERM_KEYWORDS)
-        kw = head.text
-        if kw == "succ":
-            arg = _parse_term(ts, names, monoid)
-            ts.eat(")")
-            return Succ(arg)
-        if kw == "ret":
-            arg = _parse_term(ts, names, monoid)
-            ts.eat(")")
-            return Ret(arg)
-        if kw == "step":
-            cost = _parse_cost(ts, monoid)
-            body = _parse_term(ts, names, monoid)
-            ts.eat(")")
-            return Step(cost, body)
-        if kw == "bind":
-            headt = _parse_term(ts, names, monoid)
-            name = _parse_binder(ts)
-            cont = _parse_term(ts, [name] + names, monoid)
-            ts.eat(")")
-            return Bind(headt, cont)
-        if kw == "ifz":
-            scrut = _parse_term(ts, names, monoid)
-            zcase = _parse_term(ts, names, monoid)
-            name = _parse_binder(ts)
-            scase = _parse_term(ts, [name] + names, monoid)
-            ts.eat(")")
-            return Ifz(scrut, zcase, scase)
-        if kw == "fix":
-            name = _parse_binder(ts)
-            body = _parse_term(ts, [name] + names, monoid)
-            ts.eat(")")
-            return Fix(body)
-        if kw == "lam":
-            dom = _parse_value_type(ts)
-            name = _parse_binder(ts)
-            body = _parse_term(ts, [name] + names, monoid)
-            ts.eat(")")
-            return Lam(dom, body)
-        if kw == "ap":
-            fun = _parse_term(ts, names, monoid)
-            arg = _parse_term(ts, names, monoid)
-            ts.eat(")")
-            return Ap(fun, arg)
-        raise ParseError(f"unknown form '{kw}'", head.line, head.column, _TERM_KEYWORDS)
+        keyword, line, column = ts.next(_TERM_KEYWORDS)
+        form = _KEYWORDS.get(keyword)
+        if form is None:
+            raise ParseError(f"unknown form '{keyword}'", line, column, _TERM_KEYWORDS)
+        cls, parts = form
+        args = []
+        for part in parts:
+            if part is _TERM:
+                args.append(_parse_term(ts, names, monoid))
+            elif part is _BINDER:
+                names = [_parse_binder(ts)] + names
+            elif part is _COST:
+                args.append(_parse_cost(ts, monoid))
+            else:
+                args.append(_parse_value_type(ts))
+        ts.eat(")")
+        return cls(*args)
     if _is_name(text):
         if text in names:
             return Var(names.index(text))
-        raise ParseError(f"unbound variable '{text}'", t.line, t.column)
-    raise ParseError(f"unexpected '{text}'", t.line, t.column, ("term",))
+        raise ParseError(f"unbound variable '{text}'", line, column)
+    raise ParseError(f"unexpected '{text}'", line, column, ("term",))
 
 
 def _parse_binder(ts: _Tokens) -> str:
-    t = ts.next(("binder name",))
-    if not _is_name(t.text):
-        raise ParseError(f"'{t.text}' is not a binder name", t.line, t.column, ("binder name",))
-    return t.text
+    text, line, column = ts.next(("binder name",))
+    if not _is_name(text):
+        raise ParseError(f"'{text}' is not a binder name", line, column, ("binder name",))
+    return text
+
 
 
 def parse(source: str, monoid=None) -> Term:
@@ -516,9 +506,7 @@ def parse(source: str, monoid=None) -> Term:
     if ts.done():
         raise ParseError("empty input", 1, 1, ("term",))
     term = _parse_term(ts, [], monoid)
-    extra = ts.peek()
-    if extra is not None:
-        raise ParseError(f"trailing input '{extra.text}'", extra.line, extra.column)
+    _no_trailing_input(ts)
     return term
 
 
@@ -526,10 +514,15 @@ def parse_comp_type(source: str) -> CompType:
     """Parse a computation type, e.g. "(F nat)" or "(-> nat (F nat))"."""
     ts = _Tokens(*_lex(source))
     ct = _parse_comp_type(ts)
+    _no_trailing_input(ts)
+    return ct
+
+
+def _no_trailing_input(ts: _Tokens):
     extra = ts.peek()
     if extra is not None:
-        raise ParseError(f"trailing input '{extra.text}'", extra.line, extra.column)
-    return ct
+        text, line, column = extra
+        raise ParseError(f"trailing input '{text}'", line, column)
 
 
 # ---------------------------------------------------------------------------
@@ -566,44 +559,31 @@ def _binder_name(depth: int) -> str:
 
 
 def print_term(t: Term, depth: int = 0) -> str:
-    """Canonical form: fully parenthesized, binder names derived from depth."""
-    if isinstance(t, Var):
+    """Canonical form: fully parenthesized, binder names derived from depth,
+    numerals as digits."""
+    kind = type(t)
+    if kind is Var:
         return _binder_name(depth - 1 - t.index)
-    if isinstance(t, Yes):
-        return "yes"
-    if isinstance(t, No):
-        return "no"
-    if isinstance(t, Zero):
-        return "zero"
-    if isinstance(t, Triv):
-        return "triv"
-    if isinstance(t, Succ):
+    word = _ATOM_WORDS.get(kind)
+    if word is not None:
+        return word
+    if kind is Succ:
         n = as_numeral(t)
         if n is not None:
             return str(n)
-        return f"(succ {print_term(t.arg, depth)})"
-    if isinstance(t, Ret):
-        return f"(ret {print_term(t.arg, depth)})"
-    if isinstance(t, Step):
-        return f"(step {_show_cost(t.cost)} {print_term(t.body, depth)})"
-    if isinstance(t, Bind):
-        return (
-            f"(bind {print_term(t.head, depth)} {_binder_name(depth)}"
-            f" {print_term(t.cont, depth + 1)})"
-        )
-    if isinstance(t, Ifz):
-        return (
-            f"(ifz {print_term(t.scrut, depth)} {print_term(t.zcase, depth)}"
-            f" {_binder_name(depth)} {print_term(t.scase, depth + 1)})"
-        )
-    if isinstance(t, Fix):
-        return f"(fix {_binder_name(depth)} {print_term(t.body, depth + 1)})"
-    if isinstance(t, Lam):
-        return (
-            f"(lam {print_value_type(t.dom)} {_binder_name(depth)}"
-            f" {print_term(t.body, depth + 1)})"
-        )
-    if isinstance(t, Ap):
-        return f"(ap {print_term(t.fun, depth)} {print_term(t.arg, depth)})"
-    raise TypeError(f"not a term: {t!r}")
-
+    form = _PRINTED.get(kind)
+    if form is None:
+        raise TypeError(f"not a term: {t!r}")
+    opening, parts = form
+    out = [opening]
+    for part, field in parts:
+        if part is _TERM:
+            out.append(print_term(getattr(t, field), depth))
+        elif part is _BINDER:
+            out.append(_binder_name(depth))
+            depth += 1
+        elif part is _COST:
+            out.append(_show_cost(getattr(t, field)))
+        else:
+            out.append(print_value_type(getattr(t, field)))
+    return " ".join(out) + ")"

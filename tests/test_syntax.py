@@ -318,28 +318,72 @@ def test_parse_binders_and_shadowing():
 def test_parse_comments_and_whitespace():
     src = "; header\n(bind (ret zero) n ; tail comment\n  (ret n))\n"
     assert parse(src) == Bind(Ret(ZERO), Ret(Var(0)))
+    assert parse("(ret\r\n  zero)\r\n") == Ret(ZERO)
 
 
 def test_parse_vector_cost_literals():
     from costpcf.cost import vector_monoid
     v2 = vector_monoid(2)
     assert parse("(step [1,0] (ret triv))", monoid=v2) == Step((1, 0), Ret(TRIV))
+    assert parse("(step [1,\n0] (ret triv))", monoid=v2) == Step((1, 0), Ret(TRIV))
     assert print_term(Step((1, 0), Ret(TRIV))) == "(step [1,0] (ret triv))"
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "(ret",
-    "(ret zero) junk",
-    "(ifz zero (ret triv))",
-    "(step x (ret triv))",
-    "(lam nat (ret zero))",
-    "(ret unbound)",
-    ")",
-])
-def test_parse_errors(bad):
-    with pytest.raises(ParseError):
-        parse(bad)
+_KEYWORDS = ("succ", "ret", "step", "bind", "ifz", "fix", "lam", "ap")
+
+# (source, monoid, msg, line, column, expected) of malformed inputs, each
+# pinned from the parser as it stood before its grammar became one table.
+PARSE_ERRORS = [
+    ("", "nat", "empty input", 1, 1, ("term",)),
+    ("(ret", "nat", "unexpected end of input", 1, 5, ("term",)),
+    ("(ret zero", "nat", "unexpected end of input", 1, 10, (")",)),
+    ("(ret zero) junk", "nat", "trailing input 'junk'", 1, 12, ()),
+    (")", "nat", "unexpected ')'", 1, 1, ("term",)),
+    ("(ifz zero (ret triv))", "nat", "')' is not a binder name", 1, 21, ("binder name",)),
+    ("(step x (ret triv))", "nat", "'x' is not a natural number cost", 1, 7,
+     ("nat cost literal",)),
+    ("(lam nat (ret zero))", "nat", "'(' is not a binder name", 1, 10, ("binder name",)),
+    ("(ret unbound)", "nat", "unbound variable 'unbound'", 1, 6, ()),
+    # an unterminated '[' after a newline
+    ("(ret\n  (step [1,0 (ret zero)))", "nat", "unterminated '[' literal", 2, 9, ("]",)),
+    # a newline inside a cost literal does not count as a line
+    ("(step [1,\n0] (ret y))", "vec:2", "unbound variable 'y'", 1, 19, ()),
+    # a tab is one column
+    ("\t(ret\t@)", "nat", "unexpected '@'", 1, 7, ("term",)),
+    ("; a comment ( [\n(ret zero) ; tail\n(ret triv)", "nat", "trailing input '('", 3, 1, ()),
+    ("(loop zero)", "nat", "unknown form 'loop'", 1, 2, _KEYWORDS),
+    ("((ret zero))", "nat", "unknown form '('", 1, 2, _KEYWORDS),
+    ("(lam nat ret (ret zero))", "nat", "'ret' is not a binder name", 1, 10, ("binder name",)),
+    ("(lam bool x (ret x))", "nat", "unexpected 'bool' in value type", 1, 6,
+     ("ans", "nat", "unit", "(")),
+    ("(lam (U (G nat)) x (ret x))", "nat", "unexpected 'G' in computation type", 1, 10,
+     ("F", "->")),
+    # a carriage return is a blank
+    ("(ret\r\n zero)\r\n)", "nat", "trailing input ')'", 3, 1, ()),
+    ("(ret\r@)", "nat", "unexpected '@'", 1, 6, ("term",)),
+    # ']' is a word character; '[' starts a literal even inside a word
+    ("(ret a]b)", "nat", "unexpected 'a]b'", 1, 6, ("term",)),
+    ("(ret zero[1])", "nat", "unexpected '[1]'", 1, 10, (")",)),
+    ("(bind (ret zero) x)", "nat", "unexpected ')'", 1, 19, ("term",)),
+]
+
+
+@pytest.mark.parametrize("src, monoid, msg, line, column, expected", PARSE_ERRORS,
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_parse_errors(src, monoid, msg, line, column, expected):
+    from costpcf.cost import get_monoid
+    with pytest.raises(ParseError) as info:
+        parse(src, get_monoid(monoid))
+    e = info.value
+    assert (e.msg, e.line, e.column, e.expected) == (msg, line, column, expected)
+
+
+def test_non_terms_raise_type_error():
+    for bad in (NAT, 3, None, F(NAT)):
+        with pytest.raises(TypeError):
+            print_term(bad)
+        with pytest.raises(TypeError):
+            loose_range(bad)
 
 
 def test_parse_error_carries_position_and_expectations():
