@@ -58,7 +58,7 @@ def _resolve_model(monoid, phase):
 
 
 def _load(path, model):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         src = fh.read()
     return sx.parse(src, model.monoid)
 

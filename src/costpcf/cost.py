@@ -52,7 +52,7 @@ class CostMonoid:
 
 
 def _nat_parse(text: str) -> int:
-    if text.isdigit():
+    if text.isdecimal():
         return int(text)
     raise ValueError(f"'{text}' is not a natural number cost")
 

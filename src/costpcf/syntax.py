@@ -7,9 +7,11 @@ constructors: a computation appearing in value position *is* the thunk.
 Concrete syntax is fully parenthesized s-expressions with `;` line comments.
 `_FORMS` is the one home of its grammar: for each compound node it gives the
 keyword and the parts in concrete order, and both the parser and the printer
-read it.  One regex (`_LEXEME`) splits the source into tokens.  Binders carry
-names in concrete syntax only; the parser resolves them to indices and the
-printer regenerates canonical names from binding depth.
+read it.  One `findall` of one regex (`_LEXEME`) gives the token texts, and
+the parser reads them in one loop over an explicit stack.  A ParseError works
+out its line and column from the source only when it is raised.  Binders
+carry names in concrete syntax only; the parser resolves them to indices and
+the printer regenerates canonical names from binding depth.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from typing import Union
+
+from .cost import NAT_MONOID
 
 # ---------------------------------------------------------------------------
 # Types
@@ -328,7 +332,6 @@ _TYPE_ATOMS = {"ans": ANS, "nat": NAT, "unit": UNIT}
 
 # The parser's view: keyword -> (node class, parts).
 _KEYWORDS = {keyword: (cls, parts) for cls, (keyword, *parts) in _FORMS.items()}
-_TERM_KEYWORDS = tuple(_KEYWORDS)
 
 
 def _printed_form(cls, keyword, parts):
@@ -343,7 +346,7 @@ _ATOM_WORDS = {type(atom): word for word, atom in _ATOMS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax: lexer
+# Concrete syntax: parser
 
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, column: int, expected=()):
@@ -351,178 +354,173 @@ class ParseError(Exception):
         self.line = line
         self.column = column
         self.expected = tuple(expected)
-        where = f"{line}:{column}"
         hint = f" (expected one of: {', '.join(expected)})" if expected else ""
-        super().__init__(f"parse error at {where}: {msg}{hint}")
+        super().__init__(f"parse error at {line}:{column}: {msg}{hint}")
 
 
-# One match per blank run, comment, newline, token or lone '['.  The groups
-# say which: 1 a newline, 2 a token (a parenthesis, a bracketed cost literal
-# or a word), 3 a '[' with no ']' after it; blanks and comments match none.
-# A word is a run of every other character, so each character of the source
-# falls in some match.  A newline inside a bracketed literal does not count
-# as a line.
+# One match per blank run (newlines included), comment or token: a
+# parenthesis, a bracketed cost literal, a word, or a '[' with no ']' after
+# it.  Only a token fills the one group, so `findall` gives each token's text
+# and an empty string for each blank run and comment.  A word is a run of
+# every other character, so each character of the source falls in some match.
 _BLANKS = r" \t\r"
 _LEXEME = re.compile(
-    rf"[{_BLANKS}]+|;[^\n]*|(\n)|([()]|\[[^\]]*\]|[^{_BLANKS}\n();\[]+)|(\[)")
+    rf"[{_BLANKS}\n]+|;[^\n]*|([()]|\[[^\]]*\]|[^{_BLANKS}\n();\[]+|\[)")
+_END = ""  # follows the last token; no token is empty
 
 
-def _lex(source: str):
-    """Tokens as (text, line, column), and the (line, column) just past the
-    last character."""
-    toks = []
-    line = 1
-    line_start = 0
+def _tokens(source: str) -> list:
+    """The token texts of `source`, then `_END`; a lone '[' fails before parsing."""
+    toks = list(filter(None, _LEXEME.findall(source)))
+    if "[" in toks:
+        raise _error(source, toks, toks.index("["), "unterminated '[' literal", ("]",))
+    toks.append(_END)
+    return toks
+
+
+def _error(source: str, toks: list, k: int, msg: str, expected=()) -> ParseError:
+    """A ParseError at token k, or at the end of input if token k is `_END`.
+    Its (line, column) comes from scanning `source` again, counting only the
+    newlines of blank runs: one inside a bracketed literal starts no line."""
+    if toks[k] is _END:
+        msg = "unexpected end of input"
+    line, line_start, at = 1, 0, len(source)
     for m in _LEXEME.finditer(source):
-        group = m.lastindex
-        if group == 2:
-            toks.append((m.group(2), line, m.start() - line_start + 1))
-        elif group == 1:
-            line += 1
-            line_start = m.end()
-        elif group == 3:
-            raise ParseError("unterminated '[' literal", line, m.start() - line_start + 1, ("]",))
-    return toks, (line, len(source) - line_start + 1)
+        if m.lastindex:
+            if not k:
+                at = m.start()
+                break
+            k -= 1
+        elif "\n" in m.group():
+            line += m.group().count("\n")
+            line_start = m.start() + m.group().rindex("\n") + 1
+    return ParseError(msg, line, at - line_start + 1, expected)
 
-
-class _Tokens:
-    def __init__(self, toks, end):
-        self._toks = toks
-        self._pos = 0
-        self._end = end
-
-    def peek(self):
-        return self._toks[self._pos] if self._pos < len(self._toks) else None
-
-    def next(self, expected=()):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", *self._end, expected)
-        self._pos += 1
-        return t
-
-    def eat(self, text):
-        got, line, column = self.next((text,))
-        if got != text:
-            raise ParseError(f"unexpected '{got}'", line, column, (text,))
-
-    def done(self):
-        return self._pos >= len(self._toks)
-
-
-# ---------------------------------------------------------------------------
-# Concrete syntax: parser
 
 def _is_name(text: str) -> bool:
     if text in _ATOMS or text in _KEYWORDS or text in _TYPE_ATOMS:
         return False
-    return text[:1].isalpha() and all(c.isalnum() or c in "_'" for c in text)
+    return text[:1].isalpha() and (text.isalnum() or all(c.isalnum() or c in "_'" for c in text))
 
 
-def _parse_value_type(ts: _Tokens):
-    text, line, column = ts.next(("ans", "nat", "unit", "("))
+def _close(source: str, toks: list, i: int) -> int:
+    """The index after the ')' at token i."""
+    if toks[i] != ")":
+        raise _error(source, toks, i, f"unexpected '{toks[i]}'", (")",))
+    return i + 1
+
+
+def _parse_value_type(source: str, toks: list, i: int):
+    """The value type at token i, and the index after it."""
+    text = toks[i]
     if text in _TYPE_ATOMS:
-        return _TYPE_ATOMS[text]
-    if text == "(":
-        head, line, column = ts.next(("U",))
-        if head != "U":
-            raise ParseError(f"unexpected '{head}' in value type", line, column, ("U",))
-        inner = _parse_comp_type(ts)
-        ts.eat(")")
-        return U(inner)
-    raise ParseError(f"unexpected '{text}' in value type", line, column, ("ans", "nat", "unit", "("))
+        return _TYPE_ATOMS[text], i + 1
+    if text != "(":
+        raise _error(source, toks, i, f"unexpected '{text}' in value type", (*_TYPE_ATOMS, "("))
+    if toks[i + 1] != "U":
+        raise _error(source, toks, i + 1, f"unexpected '{toks[i + 1]}' in value type", ("U",))
+    inner, i = _parse_comp_type(source, toks, i + 2)
+    return U(inner), _close(source, toks, i)
 
 
-def _parse_comp_type(ts: _Tokens):
-    ts.eat("(")
-    head, line, column = ts.next(("F", "->"))
-    if head == "F":
-        a = _parse_value_type(ts)
-        ts.eat(")")
-        return F(a)
+def _parse_comp_type(source: str, toks: list, i: int):
+    """The computation type at token i, and the index after it."""
+    if toks[i] != "(":
+        raise _error(source, toks, i, f"unexpected '{toks[i]}'", ("(",))
+    head = toks[i + 1]
+    if head not in ("F", "->"):
+        raise _error(source, toks, i + 1, f"unexpected '{head}' in computation type", ("F", "->"))
+    a, i = _parse_value_type(source, toks, i + 2)
     if head == "->":
-        a = _parse_value_type(ts)
-        x = _parse_comp_type(ts)
-        ts.eat(")")
-        return Arrow(a, x)
-    raise ParseError(f"unexpected '{head}' in computation type", line, column, ("F", "->"))
+        x, i = _parse_comp_type(source, toks, i)
+        return Arrow(a, x), _close(source, toks, i)
+    return F(a), _close(source, toks, i)
 
 
-def _parse_cost(ts: _Tokens, monoid):
-    text, line, column = ts.next(("cost literal",))
-    try:
-        return monoid.parse(text)
-    except ValueError as exc:
-        raise ParseError(str(exc), line, column, (f"{monoid.name} cost literal",)) from None
+def _parse_term(source: str, toks: list, i: int, monoid):
+    """The term at token i, and the index after it.
 
-
-def _parse_term(ts: _Tokens, names: list, monoid):
-    text, line, column = ts.next(("term",))
-    atom = _ATOMS.get(text)
-    if atom is not None:
-        return atom
-    if text.isdigit():
-        return numeral(int(text))
-    if text == "(":
-        keyword, line, column = ts.next(_TERM_KEYWORDS)
-        form = _KEYWORDS.get(keyword)
-        if form is None:
-            raise ParseError(f"unknown form '{keyword}'", line, column, _TERM_KEYWORDS)
-        cls, parts = form
-        args = []
-        for part in parts:
-            if part is _TERM:
-                args.append(_parse_term(ts, names, monoid))
-            elif part is _BINDER:
-                names = [_parse_binder(ts)] + names
-            elif part is _COST:
-                args.append(_parse_cost(ts, monoid))
-            else:
-                args.append(_parse_value_type(ts))
-        ts.eat(")")
-        return cls(*args)
-    if _is_name(text):
-        if text in names:
-            return Var(names.index(text))
-        raise ParseError(f"unbound variable '{text}'", line, column)
-    raise ParseError(f"unexpected '{text}'", line, column, ("term",))
-
-
-def _parse_binder(ts: _Tokens) -> str:
-    text, line, column = ts.next(("binder name",))
-    if not _is_name(text):
-        raise ParseError(f"'{text}' is not a binder name", line, column, ("binder name",))
-    return text
-
-
-
-def parse(source: str, monoid=None) -> Term:
-    """Parse one term from s-expression source.  Raises ParseError."""
-    if monoid is None:
-        from .cost import NAT_MONOID
-
-        monoid = NAT_MONOID
-    ts = _Tokens(*_lex(source))
-    if ts.done():
+    One loop over an explicit stack, so nesting costs no Python stack.  The
+    locals hold the open form: its class, its parts, how many are left to
+    read (the next is `parts[-k]`) and its arguments so far.  Opening a form
+    pushes them and closing it pops them; the top level is a one-part form
+    with no class.  The names in scope are one list, innermost first: a
+    binder's name goes in front when read and comes out when its form closes.
+    """
+    if toks[i] is _END:
         raise ParseError("empty input", 1, 1, ("term",))
-    term = _parse_term(ts, [], monoid)
-    _no_trailing_input(ts)
-    return term
+    stack, names = [], []
+    cls, parts, k, args = None, (_TERM,), 1, []
+    while True:
+        while (part := parts[-k]) is not _TERM:
+            k -= 1
+            text = toks[i]
+            if part is _BINDER:
+                if not _is_name(text):
+                    raise _error(source, toks, i, f"'{text}' is not a binder name",
+                                 ("binder name",))
+                names.insert(0, text)
+                i += 1
+            elif part is _COST:
+                try:
+                    args.append(monoid.parse(text))
+                except ValueError as exc:
+                    expected = "cost literal" if text is _END else f"{monoid.name} cost literal"
+                    raise _error(source, toks, i, str(exc), (expected,)) from None
+                i += 1
+            else:
+                a, i = _parse_value_type(source, toks, i)
+                args.append(a)
+        k -= 1
+        text = toks[i]
+        i += 1
+        if text == "(":
+            form = _KEYWORDS.get(toks[i])
+            if form is None:
+                raise _error(source, toks, i, f"unknown form '{toks[i]}'", _KEYWORDS)
+            i += 1
+            stack.append((cls, parts, k, args))
+            cls, parts = form
+            k, args = len(parts), []
+            continue
+        term = _ATOMS.get(text)
+        if term is None:
+            if text.isdecimal():
+                term = numeral(int(text))
+            elif text in names:
+                term = Var(names.index(text))
+            elif _is_name(text):
+                raise _error(source, toks, i - 1, f"unbound variable '{text}'")
+            else:
+                raise _error(source, toks, i - 1, f"unexpected '{text}'", ("term",))
+        args.append(term)
+        while not k:  # close each form that `term` completes
+            if not stack:
+                return args[0], i
+            i = _close(source, toks, i)
+            term = cls(*args)
+            del names[:parts.count(_BINDER)]
+            cls, parts, k, args = stack.pop()
+            args.append(term)
+
+
+def _parse_all(source: str, parse_at, *extra):
+    """What `parse_at` reads from token 0 of `source`, which must be all of it."""
+    toks = _tokens(source)
+    found, i = parse_at(source, toks, 0, *extra)
+    if toks[i] is not _END:
+        raise _error(source, toks, i, f"trailing input '{toks[i]}'")
+    return found
+
+
+def parse(source: str, monoid=NAT_MONOID) -> Term:
+    """Parse one term from s-expression source.  Raises ParseError."""
+    return _parse_all(source, _parse_term, monoid)
 
 
 def parse_comp_type(source: str) -> CompType:
     """Parse a computation type, e.g. "(F nat)" or "(-> nat (F nat))"."""
-    ts = _Tokens(*_lex(source))
-    ct = _parse_comp_type(ts)
-    _no_trailing_input(ts)
-    return ct
-
-
-def _no_trailing_input(ts: _Tokens):
-    extra = ts.peek()
-    if extra is not None:
-        text, line, column = extra
-        raise ParseError(f"trailing input '{text}'", line, column)
+    return _parse_all(source, _parse_comp_type)
 
 
 # ---------------------------------------------------------------------------

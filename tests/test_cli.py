@@ -85,6 +85,23 @@ def test_typecheck_parse_error_position(capsys, pcf):
         assert (blob["error"], blob["line"], blob["column"]) == ("parse", line, column), src
 
 
+@pytest.mark.parametrize("src, line, column", [
+    ("(ret\r@)", 1, 6),                   # a lone carriage return is a blank
+    ("(ret\r\n zero)\r\n)", 3, 1),        # CRLF ends a line
+])
+def test_typecheck_reads_a_file_as_parse_reads_its_text(capsys, tmp_path, src, line, column):
+    path = tmp_path / "prog.pcf"
+    path.write_bytes(src.encode("utf-8"))
+    rc, out, _ = run_main(capsys, "typecheck", str(path))
+    with pytest.raises(sx.ParseError) as info:
+        sx.parse(src)
+    e = info.value
+    blob = json.loads(out)
+    assert rc == 1
+    assert (blob["msg"], blob["line"], blob["column"]) == (e.msg, e.line, e.column)
+    assert (e.line, e.column) == (line, column)
+
+
 FILE_COMMANDS = ["typecheck", "step", "profile", "denote", "adequacy"]
 USER_ERRORS = [
     ("(bind (ret zero) x", "parse"),
@@ -113,6 +130,14 @@ def test_file_commands_report_user_errors_as_one_json_line(capsys, pcf, argv, sr
     assert err == ""
     assert out.count("\n") == 1
     assert json.loads(out)["error"] == error
+
+
+def test_deep_step_chain_parses_and_the_type_checker_refuses_it(capsys, pcf):
+    from test_syntax import DEEP_STEP_CHAIN
+
+    sx.parse(DEEP_STEP_CHAIN)
+    rc, out, err = run_main(capsys, "typecheck", pcf(DEEP_STEP_CHAIN))
+    assert (rc, err, json.loads(out)["error"]) == (1, "", "depth")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ equivalence for free).
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,8 +332,9 @@ def test_parse_vector_cost_literals():
 
 _KEYWORDS = ("succ", "ret", "step", "bind", "ifz", "fix", "lam", "ap")
 
-# (source, monoid, msg, line, column, expected) of malformed inputs, each
-# pinned from the parser as it stood before its grammar became one table.
+# (source, monoid, msg, line, column, expected) of malformed inputs.  The
+# first 23 are pinned from the parser as it stood before its grammar became
+# one table.
 PARSE_ERRORS = [
     ("", "nat", "empty input", 1, 1, ("term",)),
     ("(ret", "nat", "unexpected end of input", 1, 5, ("term",)),
@@ -365,6 +367,12 @@ PARSE_ERRORS = [
     ("(ret a]b)", "nat", "unexpected 'a]b'", 1, 6, ("term",)),
     ("(ret zero[1])", "nat", "unexpected '[1]'", 1, 10, (")",)),
     ("(bind (ret zero) x)", "nat", "unexpected ')'", 1, 19, ("term",)),
+    # a numeral is what `int` reads: a superscript digit is no digit
+    ("(ret ²)", "nat", "unexpected '²'", 1, 6, ("term",)),
+    ("(step ² (ret triv))", "nat", "'²' is not a natural number cost", 1, 7,
+     ("nat cost literal",)),
+    # a lone '[' is reported before any parsing, so before the unknown form
+    ("(loop [1", "nat", "unterminated '[' literal", 1, 7, ("]",)),
 ]
 
 
@@ -384,6 +392,67 @@ def test_non_terms_raise_type_error():
             print_term(bad)
         with pytest.raises(TypeError):
             loose_range(bad)
+
+
+# Separators that a reflowed program puts between two tokens; each "\n" in
+# them starts a line.
+_SEPARATORS = (" ", "\n", "\t", "\r\n", "\r", "  ; c ( [\n\t", " ;\n\n")
+_CANONICAL_TOKEN = re.compile(r"\[[^\]]*\]|[()]|[^ ()]+")
+
+
+def _reflow(tokens, rng):
+    """`tokens` joined by random separators, with a newline inside some
+    vector literals; each token's (start, end) offsets; and the offsets of
+    the newlines that start lines (none of those inside a literal)."""
+    text, spans, breaks = "", [], []
+    for tok in tokens:
+        if text:
+            sep = rng.choice(_SEPARATORS)
+            breaks += [len(text) + j for j, c in enumerate(sep) if c == "\n"]
+            text += sep
+        if tok.startswith("[") and rng.random() < 0.5:
+            tok = tok.replace(",", ",\n", 1)
+        spans.append((len(text), len(text) + len(tok)))
+        text += tok
+    return text, spans, breaks
+
+
+def _line_and_column(offset, breaks):
+    """Counted from the offset: lines started before it, and its distance
+    from the start of its line."""
+    before = [b for b in breaks if b < offset]
+    line_start = before[-1] + 1 if before else 0
+    return len(before) + 1, offset - line_start + 1
+
+
+def test_parse_error_positions_are_those_of_the_offending_token():
+    from costpcf.cost import vector_monoid
+    from costpcf.harness import gen_programs
+
+    v2 = vector_monoid(2)
+    targets = (F(UNIT), F(NAT), Arrow(NAT, F(NAT)))
+    rng = random.Random(5)
+    checked = 0
+    for t, _target in gen_programs(14, 40, targets, 0.5, monoid=v2, depth_range=(2, 5)):
+        tokens = _CANONICAL_TOKEN.findall(print_term(t))
+        text, spans, breaks = _reflow(tokens, rng)
+        assert parse(text, v2) == t
+        for k in rng.sample(range(len(tokens)), min(6, len(tokens))):
+            start, end = spans[k]
+            bad = text[:start] + "@" + text[end:]
+            with pytest.raises(ParseError) as info:
+                parse(bad, v2)
+            assert "'@'" in info.value.msg, bad
+            assert (info.value.line, info.value.column) == _line_and_column(start, breaks), bad
+            # cut off before token k: the error is at the end of input
+            cut = text[:start]
+            with pytest.raises(ParseError) as info:
+                parse(cut, v2)
+            if info.value.msg != "empty input":
+                assert info.value.msg == "unexpected end of input", cut
+                assert (info.value.line, info.value.column) == _line_and_column(len(cut), breaks)
+            checked += 1
+    assert checked > 150
 
 
 def test_parse_error_carries_position_and_expectations():
@@ -427,6 +496,30 @@ def test_type_printing_roundtrip():
     for x in cases:
         assert parse_comp_type(print_comp_type(x)) == x
     assert print_value_type(U(F(UNIT))) == "(U (F unit))"
+
+
+DEEP = 10 ** 4
+DEEP_STEP_CHAIN = "(step 1 " * DEEP + "(ret triv)" + ")" * DEEP
+
+
+def _spine(t, child):
+    """How many nodes of `t`'s class lead down through `child`, and the node
+    below them: a loop, since `==` on nested dataclasses recurses."""
+    kind, n = type(t), 0
+    while type(t) is kind:
+        t, n = getattr(t, child), n + 1
+    return n, t
+
+
+def test_parse_nests_without_the_python_stack():
+    assert _spine(parse(DEEP_STEP_CHAIN), "body") == (DEEP, Ret(TRIV))
+    heads = parse("(bind " * DEEP + "(ret zero)" + " x (ret x))" * DEEP)
+    assert _spine(heads, "head") == (DEEP, Ret(ZERO))
+    # every binder in scope of the next, the innermost one named
+    conts = parse("(bind (ret zero) x " * DEEP + "(ret x)" + ")" * DEEP)
+    assert _spine(conts, "cont") == (DEEP, Ret(Var(0)))
+    outer = parse("(bind (ret zero) y " + "(bind (ret zero) x " * DEEP + "(ret y)" + ")" * (DEEP + 1))
+    assert _spine(outer, "cont") == (DEEP + 1, Ret(Var(DEEP)))
 
 
 def test_terms_are_hashable_and_immutable():
