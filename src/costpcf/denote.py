@@ -15,6 +15,14 @@ observation fuel-monotone.  A guard builds its Later once and every
 re-entry shares it; fuel is still charged per unwrap, never per object.
 `observe` stops early and answers Diverges once it meets the same Later
 again in a state that proves it repeats forever.
+
+The denotation [[e]] : [[Gamma]] -> T[[A]] is built once per term node, by
+recursion on the syntax, and then applied to environments: `_compile` turns
+a computation node into a closure `(env, model) -> SemComp` and caches it on
+the node itself (the `_code` slot of `syntax._Node`).  The model is an
+argument, so one cached closure serves every cost model and phase.  Bodies
+of `lam` and `fix`, the branches of `ifz` and `bind` continuations are
+compiled when first entered; everything else when its parent is.
 """
 
 from __future__ import annotations
@@ -224,15 +232,16 @@ class FComp(SemComp):
 
 
 class FunComp(SemComp):
-    """A function: a host function from semantic values to computations."""
+    """A function: a host function from semantic values to computations.
 
-    __slots__ = ("fn",)
+    The function is stored as the instance's own `apply`, a slot that
+    shadows `SemComp.apply`, so applying it calls the host function with no
+    frame in between."""
+
+    __slots__ = ("apply",)
 
     def __init__(self, fn):
-        self.fn = fn
-
-    def apply(self, v) -> SemComp:
-        return self.fn(v)
+        self.apply = fn
 
 
 class BindComp(SemComp):
@@ -301,65 +310,114 @@ class GuardComp(SemComp):
 
 
 # ---------------------------------------------------------------------------
-# The interpreter
+# The compiler
+#
+# A cached closure captures only compile-time data: child closures, child
+# nodes still to compile, indices, costs and closed numerals.  It never
+# captures an environment, a model, a value built at run time or a SemComp,
+# so it can be shared by every denotation of its node.  A child that may
+# never run is compiled on first entry, through the node's cache; value
+# positions compile through `_value_code` into closures that only their
+# parent holds.  Dispatch is on exact node type, most frequent first, as in
+# `_unwind`: no class subclasses a term node.  Each child is fetched as
+# `c._code or _compile(c)`, inline, so compiling a chain takes one stack
+# frame per node.
 
-def _dval(t, env, model):
-    """Dispatch is on exact node type, most frequent first in the `check
-    all` battery, as in `_unwind`: no class subclasses a term node."""
+def _compile(t):
+    """The closure of computation node `t`, compiled and cached on `t`.  A
+    Var here is in computation position: it forces the thunk it is bound to."""
+    tp = type(t)
+    if tp is sx.Ap:
+        fun = t.fun
+        fun = fun._code or _compile(fun)
+        arg = _value_code(t.arg)
+
+        def code(env, model):
+            return fun(env, model).apply(arg(env, model))
+    elif tp is sx.Ifz:
+        scrut = _value_code(t.scrut)
+        zcase, scase = t.zcase, t.scase
+
+        def code(env, model):
+            n = scrut(env, model).n
+            if n == 0:
+                return (zcase._code or _compile(zcase))(env, model)
+            return (scase._code or _compile(scase))((VNum(n - 1),) + env, model)
+    elif tp is sx.Lam:
+        body = t.body
+
+        def code(env, model):
+            return FunComp(lambda v: (body._code or _compile(body))((v,) + env, model))
+    elif tp is sx.Ret:
+        arg = _value_code(t.arg)
+
+        def code(env, model):
+            return FComp(Done(model.zero(), arg(env, model)))
+    elif tp is sx.Bind:
+        head = t.head
+        head = head._code or _compile(head)
+        cont = t.cont
+
+        def code(env, model):
+            return BindComp(head(env, model),
+                            lambda a: (cont._code or _compile(cont))((a,) + env, model))
+    elif tp is sx.Var:
+        i = t.index
+
+        def code(env, model):
+            return env[i].comp
+    elif tp is sx.Step:
+        cost = t.cost
+        body = t.body
+        body = body._code or _compile(body)
+
+        def code(env, model):
+            return ChargeComp(cost, body(env, model), model)
+    elif tp is sx.Fix:
+        body = t.body
+
+        def code(env, model):
+            holder = [None]
+            rec = VThunk(GuardComp(lambda: holder[0]))
+            holder[0] = (body._code or _compile(body))((rec,) + env, model)
+            return holder[0]
+    else:
+        raise TypeError(f"not a computation term: {t!r}")
+    # As in `syntax.loose_range`: no `__dict__` of the node's own.
+    object.__setattr__(t, "_code", code)
+    return code
+
+
+def _value_code(t):
+    """The closure `(env, model) -> semantic value` of `t` in value position.
+
+    A numeral is one VNum: its Succ chain is counted down to its base here,
+    at compile time.  On Zero the VNum is built now and every evaluation
+    shares it; on a variable bound to a number, one is built per evaluation.
+    """
     tp = type(t)
     if tp is sx.Var:
-        return env[t.index]
-    if tp is sx.Succ:
-        # One VNum per numeral: count the Succ chain down to its base, Zero
-        # or a variable bound to a number.
+        i = t.index
+        return lambda env, model: env[i]
+    if tp is sx.Succ or tp is sx.Zero:
         k = 0
         while type(t) is sx.Succ:
             k += 1
             t = t.arg
-        return VNum(k if type(t) is sx.Zero else _dval(t, env, model).n + k)
-    if tp is sx.Zero:
-        return VNum(0)
+        if type(t) is sx.Zero:
+            v = VNum(k)
+            return lambda env, model: v
+        i = t.index
+        return lambda env, model: VNum(env[i].n + k)
     if tp is sx.Triv:
-        return TRIV
+        return lambda env, model: TRIV
     if tp is sx.Yes:
-        return V_YES
+        return lambda env, model: V_YES
     if tp is sx.No:
-        return V_NO
+        return lambda env, model: V_NO
     # A computation in value position is its own thunk.
-    return VThunk(_dcomp(t, env, model))
-
-
-def _dcomp(t, env, model) -> SemComp:
-    """Dispatch as in `_dval`."""
-    tp = type(t)
-    if tp is sx.Ap:
-        return _dcomp(t.fun, env, model).apply(_dval(t.arg, env, model))
-    if tp is sx.Ifz:
-        n = _dval(t.scrut, env, model).n
-        if n == 0:
-            return _dcomp(t.zcase, env, model)
-        return _dcomp(t.scase, (VNum(n - 1),) + env, model)
-    if tp is sx.Lam:
-        body = t.body
-        return FunComp(lambda v: _dcomp(body, (v,) + env, model))
-    if tp is sx.Ret:
-        return FComp(eta(_dval(t.arg, env, model), model))
-    if tp is sx.Bind:
-        cont = t.cont
-        return BindComp(
-            _dcomp(t.head, env, model),
-            lambda a: _dcomp(cont, (a,) + env, model),
-        )
-    if tp is sx.Var:
-        return env[t.index].comp
-    if tp is sx.Step:
-        return ChargeComp(t.cost, _dcomp(t.body, env, model), model)
-    if tp is sx.Fix:
-        holder = [None]
-        rec = VThunk(GuardComp(lambda: holder[0]))
-        holder[0] = _dcomp(t.body, (rec,) + env, model)
-        return holder[0]
-    raise TypeError(f"not a computation term: {t!r}")
+    comp = t._code or _compile(t)
+    return lambda env, model: VThunk(comp(env, model))
 
 
 def denote(ctx, t, env, model: CostModel = DEFAULT_MODEL):
@@ -368,10 +426,10 @@ def denote(ctx, t, env, model: CostModel = DEFAULT_MODEL):
     Precondition: t typechecks in ctx and env matches ctx pointwise.
     """
     if isinstance(t, sx.VALUE_NODES):
-        return _dval(t, tuple(env), model)
-    return _dcomp(t, tuple(env), model)
+        return _value_code(t)(tuple(env), model)
+    return (t._code or _compile(t))(tuple(env), model)
 
 
 def denote_closed(t, model: CostModel = DEFAULT_MODEL) -> SemComp:
     """Denotation of a closed computation."""
-    return _dcomp(t, (), model)
+    return (t._code or _compile(t))((), model)

@@ -76,14 +76,17 @@ Cost = Union[int, tuple]
 
 
 class _Node:
-    """Base of the term nodes: the class-level default of the loose-range cache.
+    """Base of the term nodes: the class-level defaults of two caches.
 
-    `_range` is a plain class attribute, not a dataclass field, so equality,
-    hashing and repr never see it; `loose_range` sets a node's own value as
-    an instance attribute the first time it is asked for.
+    `_range` caches the node's loose range (`loose_range`) and `_code` the
+    closure its denotation compiles to (`denote._compile`).  Both are plain
+    class attributes, not dataclass fields, so equality, hashing and repr
+    never see them; each is set as an instance attribute of a node the first
+    time it is asked for.  Nodes are immutable, so neither goes stale.
     """
 
     _range = None
+    _code = None
 
 
 @dataclass(frozen=True)

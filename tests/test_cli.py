@@ -140,6 +140,16 @@ def test_deep_step_chain_parses_and_the_type_checker_refuses_it(capsys, pcf):
     assert (rc, err, json.loads(out)["error"]) == (1, "", "depth")
 
 
+def test_denote_answers_a_deep_step_chain(pcf):
+    """Compiling a `step` chain and building its computation take one stack
+    frame per `step`.  A fresh interpreter, so that pytest's own frames do
+    not count against the recursion limit."""
+    path = pcf("(step 1 " * 950 + "(ret triv)" + ")" * 950)
+    r = subprocess.run([sys.executable, "-m", "costpcf.cli", "denote", path],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, '{"status":"defined","cost":950,"value":"triv"}\n')
+
+
 # ---------------------------------------------------------------------------
 # profile / denote / step / adequacy
 

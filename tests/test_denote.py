@@ -15,10 +15,10 @@ import costpcf.denote as dn
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
-from costpcf.cost import DEFAULT_MODEL, Phase
+from costpcf.cost import DEFAULT_MODEL, STAR, CostModel, Phase, vector_monoid
 from costpcf.denote import (
     DIVERGES, Done, EXHAUSTED, FComp, FunComp, Later, VBool, VNum, VThunk, VTriv,
-    bindT, bottom, charge, denote, denote_closed, eta, ground_json,
+    _unwind, bindT, bottom, charge, denote, denote_closed, eta, ground_json,
     laters_needed, observe,
 )
 
@@ -415,6 +415,8 @@ def later_tripwire(monkeypatch, limit):
     "(bind (fix x (bind x y (ret triv))) z (ret triv))",  # grow_loop
     # passes its argument on unchanged, so the guard reuses one Later
     "(ap (fix r (lam nat x (ap r x))) 0)",
+    # a closed numeral is one VNum, so each re-entry passes the same argument
+    "(ap (fix r (lam nat x (ap r 3))) 0)",
     # a function-typed loop from the check all --seed 1 soundness programs
     "(ap (ifz 4 (step 3 (lam (U (F nat)) x (ret zero))) x (fix x1 (step 5 x1)))"
     " (step 5 (ifz zero (ret zero) x (ret zero))))",
@@ -471,3 +473,59 @@ def test_guard_remembers_one_applied_guard():
     del a
     gc.collect()
     assert sum(r() is not None for r in refs) == 0
+
+
+# ---------------------------------------------------------------------------
+# The code compiled for a node and cached on it
+
+VEC2 = CostModel(vector_monoid(2))
+VEC2_EXT = VEC2.with_phase(Phase.EXTENSIONAL)
+# Every kind of computation node, and no cost literal, so that one parsed
+# node is well formed under every monoid.
+ALL_FORMS = ("(bind (ap (fix f (lam nat n (ifz n (ret (succ n)) p (ap f p)))) 3)"
+             " r (bind (ret (lam nat x (ret x))) g (ap g r)))")
+
+
+def answer(t, model):
+    """The observation of `t`'s denotation under `model`, and its Later count."""
+    d = denote_closed(t, model).to_delay()
+    return observe(d, 100, model), laters_needed(d, 100, model)
+
+
+@pytest.mark.parametrize("models", [
+    (DEFAULT_MODEL, VEC2, EXT), (EXT, VEC2, DEFAULT_MODEL)], ids=["nat-first", "ext-first"])
+def test_one_compiled_node_serves_every_cost_model(models):
+    t = sx.parse(ALL_FORMS)
+    for model in models:
+        got = answer(t, model)
+        assert got == answer(sx.parse(ALL_FORMS), model)
+        assert got[0].value == VNum(1) and got[1] == 3
+        assert got[0].cost == {DEFAULT_MODEL: 0, VEC2: (0, 0), EXT: STAR}[model]
+    assert EXT.show(answer(t, EXT)[0].cost) == "*"
+
+
+@pytest.mark.parametrize("models", [(VEC2, VEC2_EXT), (VEC2_EXT, VEC2)],
+                         ids=["int-first", "ext-first"])
+def test_one_compiled_node_charges_under_each_phase(models):
+    src = "(ap (fix f (lam nat n (ifz n (ret n) p (step [1,2] (ap f p))))) 3)"
+    t = sx.parse(src, VEC2.monoid)
+    for model in models:
+        got = answer(t, model)
+        assert got == answer(sx.parse(src, VEC2.monoid), model)
+        assert got[0].cost == {VEC2: (3, 6), VEC2_EXT: STAR}[model]
+
+
+@pytest.mark.parametrize("name", [name for name, t in hz.load_corpus()
+                                  if hz._ground_f_type(t, DEFAULT_MODEL) is not None])
+def test_a_compiled_node_proves_repeats_as_a_fresh_parse_does(name):
+    """Denoting one node twice, the second time from the code cached on it,
+    and a fresh parse of the same program once: the same outcome after the
+    same number of Laters, in particular the same proof of divergence."""
+    t = dict(hz.load_corpus())[name]
+    fresh = dict(hz.load_corpus())[name]
+    runs = [_unwind(denote_closed(u).to_delay(), 2000, DEFAULT_MODEL) for u in (t, t, fresh)]
+    assert runs[0] == runs[1] == runs[2]
+    needed = [laters_needed(denote_closed(u).to_delay(), 2000) for u in (t, t, fresh)]
+    assert needed[0] == needed[1] == needed[2]
+    if name in ("omega.pcf", "ticking_loop.pcf", "grow_loop.pcf"):
+        assert runs[0][0] is DIVERGES and needed[0] is None

@@ -456,14 +456,21 @@ def test_disagreement_reads_each_answer_as_ground_data(terminal, value, why):
 
 
 def test_soundness_catches_a_denotation_that_misreads_numerals(monkeypatch):
-    """Denoted numerals that saturate at 6 fail add.pcf, 3 + 4 on the machine."""
-    real = dn._dval
+    """Denoted numerals that saturate at 6 fail add.pcf, 3 + 4 on the machine.
+    The mutant wraps the compiler of value positions, where numerals are
+    compiled; the suite parses its programs afresh, so every node it denotes
+    is compiled under the mutant."""
+    real = dn._value_code
 
-    def saturating(t, env, model):
-        v = real(t, env, model)
-        return dn.VNum(min(v.n, 6)) if isinstance(v, dn.VNum) else v
+    def saturating(t):
+        code = real(t)
 
-    monkeypatch.setattr(dn, "_dval", saturating)
+        def saturated(env, model):
+            v = code(env, model)
+            return dn.VNum(min(v.n, 6)) if isinstance(v, dn.VNum) else v
+        return saturated
+
+    monkeypatch.setattr(dn, "_value_code", saturating)
     (rep,) = run_suite("soundness", 1, 5000)
     assert {f.case: f.detail for f in rep.failures}["big-step:add.pcf"] == "values differ: 6 vs 7"
 
