@@ -480,8 +480,8 @@ def test_guard_remembers_one_applied_guard():
 
 VEC2 = CostModel(vector_monoid(2))
 VEC2_EXT = VEC2.with_phase(Phase.EXTENSIONAL)
-# Every kind of computation node, and no cost literal, so that one parsed
-# node is well formed under every monoid.
+# Every kind of computation node but `step`, whose cost literal would tie the
+# parsed node to one monoid.
 ALL_FORMS = ("(bind (ap (fix f (lam nat n (ifz n (ret (succ n)) p (ap f p)))) 3)"
              " r (bind (ret (lam nat x (ret x))) g (ap g r)))")
 
