@@ -8,13 +8,18 @@ the same `perfbench/run.py` command from its own tree, the change side is
 exactly HEAD (uncommitted edits are not measured; commit them first), and
 nothing is registered in the repository.  For each workload:seed in RUNS,
 PAIRS pairs of untraced runs (`--trace 0`, BENCHMARK.json's `run_seconds`
-long) alternate which side runs first; then each side makes one traced run
-(`--trace 1`, TRACED_SECONDS long) for the per-layer counts.
+long) alternate which side runs first; then TRACED_RUNS pairs of traced
+runs (`--trace 1`, TRACED_SECONDS long) alternate likewise, for the
+per-layer metrics.
 
 The JSON holds both commits' shas, every run's result line, and per
-workload, seed and end-to-end metric: each side's median and quartiles, the
-ratio of the medians with its base (the base commit's median), and how many
-pairs HEAD won (ties count for neither side).
+workload and seed:
+- per end-to-end metric, each side's median and quartiles, the ratio of the
+  medians with its base (the base commit's median), and how many pairs HEAD
+  won (ties count for neither side);
+- per per-layer metric, each side's median and range over its traced runs,
+  the ratio of the medians, and whether the values repeat exactly.  Counts
+  should: a count that does not is reported on stderr.
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ PAIRS = 10
 # workload:seed rows.  battery ignores its seed; 47 is the held-out seed.
 RUNS = ("battery:1", "scaled_eval:1", "scaled_eval:47", "frontend:47")
 
-# The per-layer counts repeat exactly from pass to pass, so a short traced
-# run is enough.
+# Traced runs per side.  The per-layer counts repeat exactly from run to
+# run, but the per-layer times spread as the end-to-end ones do, so one
+# traced run is one sample of them, not a measurement.
+TRACED_RUNS = 3
 TRACED_SECONDS = 5
 
 
@@ -94,6 +101,23 @@ def summarise(pairs, metrics):
     return out
 
 
+def summarise_layers(traced, metrics):
+    """Per per-layer metric: each side's median and range over its traced
+    runs, the ratio of the medians, and whether each side's values repeat."""
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        row = {"unit": m["unit"], "better": m["better"]}
+        for side, runs in traced.items():
+            values = [r["metrics"][name]["value"] for r in runs]
+            row[side] = {"median": statistics.median(values), "range": (min(values), max(values)),
+                         "repeats": len(set(values)) == 1}
+        b_med, c_med = row["base"]["median"], row["change"]["median"]
+        row["ratio"] = c_med / b_med if b_med else None
+        out[name] = row
+    return out
+
+
 def rev_parse(rev):
     return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
                           check=True, capture_output=True, text=True).stdout.strip()
@@ -114,6 +138,7 @@ def main(argv=None):
         "change": shas["change"],
         "command": command,
         "seconds": seconds,
+        "traced_runs": TRACED_RUNS,
         "traced_seconds": TRACED_SECONDS,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": [],
@@ -132,13 +157,22 @@ def main(argv=None):
                           f"wall_s {pair[side]['metrics']['wall_s']['value']:.4f}",
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
-            traced = {side: run_once(command, sides[side], workload, seed,
-                                     TRACED_SECONDS, 1)
-                      for side in ("base", "change")}
+            traced = {"base": [], "change": []}
+            for i in range(TRACED_RUNS):
+                for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                    traced[side].append(run_once(command, sides[side], workload, seed,
+                                                 TRACED_SECONDS, 1))
+            layers = summarise_layers(traced, bench["per_layer"])
+            for name, row in layers.items():
+                for side in sides:
+                    if row["unit"] == "count" and not row[side]["repeats"]:
+                        print(f"{workload}:{seed} {side}: {name} differs between traced runs: "
+                              f"{row[side]['range']}", file=sys.stderr, flush=True)
             result["workloads"].append({
                 "workload": workload, "seed": int(seed), "pairs": pairs,
                 "failed": {side: sum(p[side]["failed"] for p in pairs) for side in sides},
                 "summary": summarise(pairs, bench["end_to_end"]),
+                "layers": layers,
                 "traced": traced,
             })
             Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

@@ -34,6 +34,7 @@ from . import syntax as sx
 from .cost import DEFAULT_MODEL, CostModel
 # Callers also read the outcome classes here, as dn.Defined and so on.
 from .outcome import DIVERGES, EXHAUSTED, Defined, Diverges, Exhausted
+from .records import record
 
 
 # ---------------------------------------------------------------------------
@@ -45,18 +46,22 @@ class VTriv:
         return "VTriv"
 
 
-@dataclass(frozen=True)
+@record
 class VBool:
+    __slots__ = ("flag",)
     flag: bool
 
 
-@dataclass(frozen=True)
+@record
 class VNum:
+    # Weakly referable, so a test can check that no guard keeps one alive.
+    __slots__ = ("n", "__weakref__")
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class VThunk:
+    __slots__ = ("comp",)
     comp: object  # SemComp
 
 
@@ -79,25 +84,29 @@ def ground_json(v):
 # ---------------------------------------------------------------------------
 # The delay structure
 
-@dataclass(frozen=True)
+@record
 class Done:
+    __slots__ = ("cost", "value")
     cost: object
     value: object
 
 
-@dataclass(frozen=True)
+@record
 class Later:
+    __slots__ = ("thunk",)
     thunk: Callable  # () -> Delay
 
 
-@dataclass(frozen=True)
+@record
 class _Charge:
+    __slots__ = ("cost", "inner")
     cost: object
     inner: object
 
 
-@dataclass(frozen=True)
+@record
 class _Seq:
+    __slots__ = ("head", "cont")
     head: object
     cont: Callable  # value -> Delay
 
@@ -383,7 +392,7 @@ def _compile(t):
             return holder[0]
     else:
         raise TypeError(f"not a computation term: {t!r}")
-    # As in `syntax.loose_range`: no `__dict__` of the node's own.
+    # As in `syntax.loose_range`: `_code` is a slot of the frozen node.
     object.__setattr__(t, "_code", code)
     return code
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from . import syntax as sx
 from .cost import DEFAULT_MODEL, CostModel
 from .outcome import DIVERGES, EXHAUSTED, Defined
+from .records import record
 
 
 class StuckError(Exception):
@@ -60,8 +61,9 @@ class Terminal:
         return "Terminal"
 
 
-@dataclass(frozen=True)
+@record
 class Next:
+    __slots__ = ("cost", "term")
     cost: object
     term: object
 

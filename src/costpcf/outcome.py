@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .records import record
 
-@dataclass(frozen=True)
+
+@record
 class Defined:
+    __slots__ = ("cost", "value")
     cost: object
     value: object
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 from .cost import NAT_MONOID
+from .records import record
 
 # ---------------------------------------------------------------------------
 # Types
@@ -76,86 +77,103 @@ Cost = Union[int, tuple]
 
 
 class _Node:
-    """Base of the term nodes: the class-level defaults of two caches.
+    """Base of the term nodes: the slots of two caches.
 
     `_range` caches the node's loose range (`loose_range`) and `_code` the
-    closure its denotation compiles to (`denote._compile`).  Both are plain
-    class attributes, not dataclass fields, so equality, hashing and repr
-    never see them; each is set as an instance attribute of a node the first
-    time it is asked for.  Nodes are immutable, so neither goes stale.
+    closure its denotation compiles to (`denote._compile`).  Both are slots
+    of every node but not dataclass fields, so equality, hashing and repr
+    never see them.  A compound node's `__init__` (see `records.record`)
+    sets both to None, and each is filled the first time it is asked for.
+    Nodes are immutable, so neither goes stale.
     """
 
-    _range = None
+    __slots__ = ("_range", "_code")
+
+
+class _Leaf(_Node):
+    """Base of the nodes with no fields: closed, and never compiled."""
+
+    __slots__ = ()
+    _range = 0
     _code = None
 
 
-@dataclass(frozen=True)
+@record
 class Var(_Node):
+    __slots__ = ("index",)
     index: int
 
 
 @dataclass(frozen=True)
-class Yes(_Node):
-    _range = 0
+class Yes(_Leaf):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
-class No(_Node):
-    _range = 0
+class No(_Leaf):
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
-class Zero(_Node):
-    _range = 0
+class Zero(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Succ(_Node):
+    __slots__ = ("arg",)
     arg: "Term"
 
 
 @dataclass(frozen=True)
-class Triv(_Node):
-    _range = 0
+class Triv(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Ret(_Node):
+    __slots__ = ("arg",)
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Step(_Node):
+    __slots__ = ("cost", "body")
     cost: Cost
     body: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Bind(_Node):
+    __slots__ = ("head", "cont")
     head: "Term"
     cont: "Term"  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class Ifz(_Node):
+    __slots__ = ("scrut", "zcase", "scase")
     scrut: "Term"
     zcase: "Term"
     scase: "Term"  # binds 1 (the predecessor)
 
 
-@dataclass(frozen=True)
+@record
 class Fix(_Node):
+    __slots__ = ("body",)
     body: "Term"  # binds 1 (the recursive thunk)
 
 
-@dataclass(frozen=True)
+@record
 class Lam(_Node):
+    __slots__ = ("dom", "body")
     dom: ValueType
     body: "Term"  # binds 1
 
 
-@dataclass(frozen=True)
+@record
 class Ap(_Node):
+    __slots__ = ("fun", "arg")
     fun: "Term"
     arg: "Term"
 
@@ -208,10 +226,11 @@ def ground_json(t: Term):
 def loose_range(t: Term) -> int:
     """1 + the largest free de Bruijn index of `t`, or 0 when `t` is closed.
 
-    Computed once per node, on first request, and cached outside the
-    dataclass fields (see `_Node`).  Nodes are immutable, so the cached value
-    never goes stale.  Dispatches on exact node type, as `_rebuild` does, most
-    frequent first (Succ and Ret in the battery and `scaled_eval`).
+    Computed once per node, on first request, and cached in the node's
+    `_range` slot, which is not a dataclass field (see `_Node`).  Nodes are
+    immutable, so the cached value never goes stale.  Dispatches on exact
+    node type, as `_rebuild` does, most frequent first (Succ and Ret in the
+    battery and `scaled_eval`).
     """
     r = getattr(t, "_range", None)
     if r is not None:
@@ -233,8 +252,8 @@ def loose_range(t: Term) -> int:
         r = max(loose_range(t.body) - 1, 0)
     else:
         raise TypeError(f"not a term: {t!r}")
-    # Not `t.__dict__[...]`: touching `__dict__` would give every node a
-    # dictionary of its own, nearly doubling its memory.
+    # `_range` is a slot of the frozen node, not a field: this writes it
+    # past the dataclass's `__setattr__`, which refuses every assignment.
     object.__setattr__(t, "_range", r)
     return r
 
