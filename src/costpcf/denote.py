@@ -392,7 +392,8 @@ def _compile(t):
             return holder[0]
     else:
         raise TypeError(f"not a computation term: {t!r}")
-    # As in `syntax.loose_range`: `_code` is a slot of the frozen node.
+    # `_code` is a slot of the frozen node, not a field: this writes it past
+    # the dataclass's `__setattr__`, which refuses every assignment.
     object.__setattr__(t, "_code", code)
     return code
 

@@ -19,13 +19,17 @@ from dataclasses import dataclass, fields
 _SPECIAL = ("__weakref__", "__dict__")
 
 
-def record(cls):
+def record(cls=None, /, **initial):
     """Make the slotted class `cls` a frozen dataclass with a fast `__init__`.
 
     The `__init__` takes the fields in order, by position or keyword, as a
     dataclass's does.  Each slot of `cls` or its bases that is not a field
-    (a cache) is set to None, so reading it never fails.
+    (a cache) starts as the value of its entry in `initial`, a Python
+    expression over the fields, or as None, so reading it never fails.
+    Used as `@record` or as `@record(slot="expression", ...)`.
     """
+    if cls is None:
+        return lambda cls: record(cls, **initial)
     cls = dataclass(frozen=True, init=False)(cls)
     names = [f.name for f in fields(cls)]
     caches = [s for c in reversed(cls.__mro__) for s in c.__dict__.get("__slots__", ())
@@ -33,7 +37,7 @@ def record(cls):
     setters = {f"_set_{s}": getattr(cls, s).__set__ for s in names + caches}
     lines = [f"def __init__(self, {', '.join(names)}):"]
     lines += [f"    _set_{s}(self, {s})" for s in names]
-    lines += [f"    _set_{s}(self, None)" for s in caches]
+    lines += [f"    _set_{s}(self, {initial.get(s, 'None')})" for s in caches]
     exec("\n".join(lines), setters)
     init = setters["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -79,12 +79,13 @@ Cost = Union[int, tuple]
 class _Node:
     """Base of the term nodes: the slots of two caches.
 
-    `_range` caches the node's loose range (`loose_range`) and `_code` the
-    closure its denotation compiles to (`denote._compile`).  Both are slots
-    of every node but not dataclass fields, so equality, hashing and repr
-    never see them.  A compound node's `__init__` (see `records.record`)
-    sets both to None, and each is filled the first time it is asked for.
-    Nodes are immutable, so neither goes stale.
+    `_range` holds the node's loose range (see `loose_range`) and `_code`
+    the closure its denotation compiles to (`denote._compile`).  Both are
+    slots of every node but not dataclass fields, so equality, hashing and
+    repr never see them.  A compound node's `__init__` (see
+    `records.record`) works out `_range` from its children's, in O(1), and
+    sets `_code` to None until the node is first compiled.  Nodes are
+    immutable, so neither goes stale.
     """
 
     __slots__ = ("_range", "_code")
@@ -98,7 +99,7 @@ class _Leaf(_Node):
     _code = None
 
 
-@record
+@record(_range="index + 1")
 class Var(_Node):
     __slots__ = ("index",)
     index: int
@@ -119,7 +120,7 @@ class Zero(_Leaf):
     __slots__ = ()
 
 
-@record
+@record(_range="arg._range")
 class Succ(_Node):
     __slots__ = ("arg",)
     arg: "Term"
@@ -130,27 +131,27 @@ class Triv(_Leaf):
     __slots__ = ()
 
 
-@record
+@record(_range="arg._range")
 class Ret(_Node):
     __slots__ = ("arg",)
     arg: "Term"
 
 
-@record
+@record(_range="body._range")
 class Step(_Node):
     __slots__ = ("cost", "body")
     cost: Cost
     body: "Term"
 
 
-@record
+@record(_range="max(head._range, cont._range - 1)")
 class Bind(_Node):
     __slots__ = ("head", "cont")
     head: "Term"
     cont: "Term"  # binds 1
 
 
-@record
+@record(_range="max(scrut._range, zcase._range, scase._range - 1)")
 class Ifz(_Node):
     __slots__ = ("scrut", "zcase", "scase")
     scrut: "Term"
@@ -158,20 +159,20 @@ class Ifz(_Node):
     scase: "Term"  # binds 1 (the predecessor)
 
 
-@record
+@record(_range="max(body._range - 1, 0)")
 class Fix(_Node):
     __slots__ = ("body",)
     body: "Term"  # binds 1 (the recursive thunk)
 
 
-@record
+@record(_range="max(body._range - 1, 0)")
 class Lam(_Node):
     __slots__ = ("dom", "body")
     dom: ValueType
     body: "Term"  # binds 1
 
 
-@record
+@record(_range="max(fun._range, arg._range)")
 class Ap(_Node):
     __slots__ = ("fun", "arg")
     fun: "Term"
@@ -226,36 +227,13 @@ def ground_json(t: Term):
 def loose_range(t: Term) -> int:
     """1 + the largest free de Bruijn index of `t`, or 0 when `t` is closed.
 
-    Computed once per node, on first request, and cached in the node's
-    `_range` slot, which is not a dataclass field (see `_Node`).  Nodes are
-    immutable, so the cached value never goes stale.  Dispatches on exact
-    node type, as `_rebuild` does, most frequent first (Succ and Ret in the
-    battery and `scaled_eval`).
+    Each node works this out from its children's when it is built and keeps
+    it in its `_range` slot (see `_Node`), so reading it takes O(1) and no
+    walk of `t`.
     """
-    r = getattr(t, "_range", None)
-    if r is not None:
-        return r
-    kind = type(t)
-    if kind is Succ or kind is Ret:
-        r = loose_range(t.arg)
-    elif kind is Ap:
-        r = max(loose_range(t.fun), loose_range(t.arg))
-    elif kind is Ifz:
-        r = max(loose_range(t.scrut), loose_range(t.zcase), loose_range(t.scase) - 1)
-    elif kind is Step:
-        r = loose_range(t.body)
-    elif kind is Bind:
-        r = max(loose_range(t.head), loose_range(t.cont) - 1)
-    elif kind is Var:
-        r = t.index + 1
-    elif kind is Lam or kind is Fix:
-        r = max(loose_range(t.body) - 1, 0)
-    else:
+    if not isinstance(t, _Node):
         raise TypeError(f"not a term: {t!r}")
-    # `_range` is a slot of the frozen node, not a field: this writes it
-    # past the dataclass's `__setattr__`, which refuses every assignment.
-    object.__setattr__(t, "_range", r)
-    return r
+    return t._range
 
 
 def _rebuild(t: Term, cutoff: int, at_var) -> Term:
@@ -267,13 +245,10 @@ def _rebuild(t: Term, cutoff: int, at_var) -> Term:
     >= c, and only the nodes above a replaced Var are rebuilt: every other
     subtree of the result is shared with `t`.
 
-    The walker reads a node's cached range directly, and dispatches on exact
-    node type, most frequent first: no class subclasses a term node.
+    The walker reads a node's range directly, and dispatches on exact node
+    type, most frequent first: no class subclasses a term node.
     """
-    r = t._range
-    if r is None:
-        r = loose_range(t)
-    if r <= cutoff:
+    if t._range <= cutoff:
         return t
     kind = type(t)
     if kind is Var:
@@ -323,8 +298,6 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
             return Var(i - 1)
         return replacement if closed else shift(replacement, cutoff - index)
 
-    # Fill the replacement's cache before descending: a hit deep inside `t`
-    # must not recurse through the replacement on top of the stack so far.
     closed = loose_range(replacement) == 0
     return _rebuild(t, index, at_var)
 

@@ -44,9 +44,19 @@ LEAVES = (sx.Yes, sx.No, sx.Zero, sx.Triv)
 records = pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 
 
+def value(cls, i):
+    """A distinct value for a field of `cls`: a variable in a compound term
+    node, whose `__init__` reads its children's ranges; otherwise an int."""
+    return sx.Var(i) if issubclass(cls, sx._Node) and cls is not sx.Var else i
+
+
+def values(cls, offset=0):
+    return [value(cls, i) for i in range(1 + offset, 1 + offset + len(FIELDS[cls]))]
+
+
 def sample(cls, offset=0):
-    """A record of `cls` whose fields hold distinct ints."""
-    return cls(*range(1 + offset, 1 + offset + len(FIELDS[cls])))
+    """A record of `cls` whose fields hold distinct values."""
+    return cls(*values(cls, offset))
 
 
 @records
@@ -57,8 +67,8 @@ def test_fields_are_listed_in_order(cls):
 @records
 def test_each_argument_lands_in_its_field(cls):
     r = sample(cls)
-    assert [getattr(r, name) for name in FIELDS[cls]] == list(range(1, 1 + len(FIELDS[cls])))
-    by_keyword = cls(**{name: i for i, name in enumerate(FIELDS[cls], 1)})
+    assert [getattr(r, name) for name in FIELDS[cls]] == values(cls)
+    by_keyword = cls(**dict(zip(FIELDS[cls], values(cls))))
     assert by_keyword == r
     assert dataclasses.replace(r) == r
 
@@ -66,8 +76,7 @@ def test_each_argument_lands_in_its_field(cls):
 @records
 def test_repr_is_the_frozen_dataclass_repr(cls):
     plain = dataclasses.make_dataclass(cls.__name__, FIELDS[cls], frozen=True)
-    values = range(1, 1 + len(FIELDS[cls]))
-    assert repr(cls(*values)) == repr(plain(*values))
+    assert repr(sample(cls)) == repr(plain(*values(cls)))
 
 
 def test_reprs_in_pinned_output():
@@ -82,7 +91,7 @@ def test_equality_and_hash_read_every_field(cls):
     r = sample(cls)
     assert r == sample(cls) and hash(r) == hash(sample(cls))
     for i, name in enumerate(FIELDS[cls]):
-        other = dataclasses.replace(r, **{name: 100 + i})
+        other = dataclasses.replace(r, **{name: value(cls, 100 + i)})
         assert r != other, f"{cls.__name__} == ignores {name}"
     assert r != sample(cls, offset=10)
 
@@ -118,10 +127,16 @@ def test_term_nodes_have_only_slots(cls):
         node.extra = 3
 
 
+# The loose range of `sample(cls)`, whose fields are Var(1), Var(2), Var(3)
+# (Var's own sample is Var(1)): a binder before a field lowers its range by one.
+SAMPLE_RANGES = {sx.Var: 2, sx.Succ: 2, sx.Ret: 2, sx.Step: 3, sx.Bind: 2, sx.Ifz: 3,
+                 sx.Fix: 1, sx.Lam: 2, sx.Ap: 3}
+
+
 @pytest.mark.parametrize("cls", TERM_NODES, ids=lambda cls: cls.__name__)
-def test_caches_start_empty_and_are_not_fields(cls):
+def test_range_is_known_and_code_empty_when_built(cls):
     node = sample(cls)
-    assert node._range is None and node._code is None
+    assert node._range == SAMPLE_RANGES[cls] and node._code is None
     assert {"_range", "_code"}.isdisjoint(f.name for f in dataclasses.fields(cls))
 
 
@@ -131,11 +146,10 @@ def test_leaves_are_closed_and_never_compiled():
         assert cls() == cls() and not dataclasses.fields(cls)
 
 
-def test_filled_caches_are_read_back():
+def test_ranges_and_compiled_code_are_read_back():
     t = sx.parse("(lam nat x (bind (ret x) y (ret y)))")
-    assert t._range is None
-    assert sx.loose_range(t) == 0 and t._range == 0
-    assert sx.loose_range(t.body.head) == 1
+    assert sx.loose_range(t) == 0 and sx.loose_range(t.body.head) == 1
+    assert t._code is None
     dn.denote_closed(t)
     code = t._code
     assert callable(code)

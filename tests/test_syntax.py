@@ -170,7 +170,7 @@ def free_indices(t, n):
 
 
 def fresh_copy(t):
-    """Rebuild `t` node by node, so that no node of the copy has a cached range."""
+    """Rebuild `t` node by node, so that the copy shares no node with it."""
     if not isinstance(t, sx._Node):
         return t
     return type(t)(*(fresh_copy(getattr(t, f.name)) for f in dataclasses.fields(t)))
