@@ -85,7 +85,9 @@ class _Node:
     repr never see them.  A compound node's `__init__` (see
     `records.record`) works out `_range` from its children's, in O(1), and
     sets `_code` to None until the node is first compiled.  Nodes are
-    immutable, so neither goes stale.
+    immutable, so neither goes stale.  The range rules are conditional
+    expressions rather than calls of `max`, which would add a call to the
+    construction of nearly every node the parser builds.
     """
 
     __slots__ = ("_range", "_code")
@@ -144,7 +146,7 @@ class Step(_Node):
     body: "Term"
 
 
-@record(_range="max(head._range, cont._range - 1)")
+@record(_range="head._range if head._range >= cont._range else cont._range - 1")
 class Bind(_Node):
     __slots__ = ("head", "cont")
     head: "Term"
@@ -159,20 +161,20 @@ class Ifz(_Node):
     scase: "Term"  # binds 1 (the predecessor)
 
 
-@record(_range="max(body._range - 1, 0)")
+@record(_range="body._range - 1 if body._range else 0")
 class Fix(_Node):
     __slots__ = ("body",)
     body: "Term"  # binds 1 (the recursive thunk)
 
 
-@record(_range="max(body._range - 1, 0)")
+@record(_range="body._range - 1 if body._range else 0")
 class Lam(_Node):
     __slots__ = ("dom", "body")
     dom: ValueType
     body: "Term"  # binds 1
 
 
-@record(_range="max(fun._range, arg._range)")
+@record(_range="fun._range if fun._range >= arg._range else arg._range")
 class Ap(_Node):
     __slots__ = ("fun", "arg")
     fun: "Term"
