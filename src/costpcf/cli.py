@@ -160,9 +160,6 @@ def profile(path, fuel, monoid, phase, as_json):
     t, fuel, model = _load_run(path, fuel, monoid, phase)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     res = mc.profile(t, fuel, model)
-    if res is mc.MISMATCH:
-        _emit({"error": "internal", "msg": "profile reached a non-unit terminal"})
-        return 3
     if as_json:
         _emit(_status(res, model, fuel=fuel))
     elif isinstance(res, Defined):

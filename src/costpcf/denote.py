@@ -6,14 +6,14 @@ cost and one value.  `Done` and `Later` are the semantic constructors;
 internally two administrative nodes (_Charge, _Seq) keep cost charging and
 sequencing O(1) per observation step, so left-nested binds and unbounded
 charge chains do not blow up.  Administrative nodes are invisible to fuel:
-`observe` spends fuel on Later unwraps only, so `charge` and `bindT` leave
+`unwind` spends fuel on Later unwraps only, so `charge` and `bindT` leave
 the Later structure of their arguments intact.
 
 Fixed points unfold lazily: each re-entry into a `fix` body goes through a
 guard that costs exactly one Later, making every denotation productive and
 observation fuel-monotone.  A guard builds its Later once and every
 re-entry shares it; fuel is still charged per unwrap, never per object.
-`observe` stops early and answers Diverges once it meets the same Later
+`unwind` stops early and answers Diverges once it meets the same Later
 again in a state that proves it repeats forever.
 
 The denotation [[e]] : [[Gamma]] -> T[[A]] is built once per term node, by
@@ -138,9 +138,15 @@ def bindT(d, k):
     return _Seq(d, k)
 
 
-def _unwind(d, fuel, model):
+def unwind(d, fuel, model: CostModel = DEFAULT_MODEL):
     """Unwrap at most `fuel` Laters of d: (outcome, Laters used), the
     outcome Defined(cost, value), Diverges or Exhausted.
+
+    One unwinding at `fuel` gives the outcome at every fuel f up to it:
+    Defined after u Laters is Defined for f >= u and Exhausted below;
+    Diverges after u Laters is Exhausted for f <= u and Diverges above, as
+    the fuel check runs before the repeat check; Exhausted (u = fuel) is
+    Exhausted at every f <= fuel.
 
     Dispatch is on exact node type, Later first.  Later is read per call (a
     tracer may swap in a counting subclass); other subclasses of it take the
@@ -194,22 +200,19 @@ def _unwind(d, fuel, model):
 
 
 def observe(d, fuel: int, model: CostModel = DEFAULT_MODEL):
-    """Unwrap at most `fuel` Laters: Defined, Diverges or Exhausted.  Defined
-    and Diverges answers are fuel-monotone.
+    """Unwrap at most `fuel` Laters: Defined, Diverges or Exhausted, the
+    outcome `unwind` gives.  Defined and Diverges answers are fuel-monotone.
 
     Costs accumulate left-to-right in encounter order, which is evaluation
     order, so non-commutative monoids are respected.
     """
-    return _unwind(d, fuel, model)[0]
+    return unwind(d, fuel, model)[0]
 
 
 def laters_needed(d, limit: int, model: CostModel = DEFAULT_MODEL):
-    """Smallest fuel at which d is Defined, or None if above limit.
-
-    Used by the laws suite and by tests to assert that combinators preserve
-    Later structure.
-    """
-    outcome, used = _unwind(d, limit, model)
+    """Smallest fuel at which d is Defined, or None if above limit: the
+    Laters `unwind` used when it answers Defined."""
+    outcome, used = unwind(d, limit, model)
     return used if isinstance(outcome, Defined) else None
 
 
@@ -328,7 +331,7 @@ class GuardComp(SemComp):
 # never run is compiled on first entry, through the node's cache; value
 # positions compile through `_value_code` into closures that only their
 # parent holds.  Dispatch is on exact node type, most frequent first, as in
-# `_unwind`: no class subclasses a term node.  Each child is fetched as
+# `unwind`: no class subclasses a term node.  Each child is fetched as
 # `c._code or _compile(c)`, inline, so compiling a chain takes one stack
 # frame per node.
 

@@ -388,37 +388,31 @@ def _gen_kont(rng, model, depth):
     return lambda v: d
 
 
-def _law_fuels(rng, lhs, rhs, fuel, model):
-    """Fuel sample points: boundaries around each side's settling point."""
-    pts = {0, 1, fuel}
-    for d in (lhs, rhs):
-        n = dn.laters_needed(d, min(fuel, 10_000), model)
-        if n is not None:
-            pts.update({max(0, n - 1), n, n + 1})
-    pts.add(rng.randint(0, 8))
-    return sorted(pts)
-
-
 def check_laws(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
     """Monad unit/associativity for (eta, bindT), distributive-law coherence,
     and the three derived cost-algebra laws, as observational equalities.
 
-    Each law compares its two sides at fixed fuels, with no retry: there
-    Diverges and Exhausted both mean "not Defined within that fuel".  Some
-    generated delays never settle, so proved divergences meet the laws too."""
+    Each side is unwound once, at `fuel`, to (outcome, Laters used).  Two
+    sides agree at every fuel up to `fuel` exactly when their outcomes agree
+    there and, if both are Defined, they used the same Laters: `unwind` says
+    how one unwinding decides every smaller fuel.  So the check is exact,
+    with no retry: Diverges and Exhausted both mean "not Defined within that
+    fuel".  Some generated delays never settle, so proved divergences meet
+    the laws too."""
     rng = random.Random(seed)
     failures = []
     m = model.monoid
 
-    def fail(case, detail, parts=()):
-        failures.append(Failure(case, tuple(parts), detail, fuel))
+    def compare(case, side1, side2):
+        (o1, u1), (o2, u2) = side1, side2
+        why = disagreement(o1, o2, model)
+        if why is None and isinstance(o1, Defined) and u1 != u2:
+            why = f"Laters needed differ: {u1} vs {u2}"
+        if why is not None:
+            failures.append(Failure(case, (), why, fuel))
 
     def law(case, lhs, rhs):
-        for f in _law_fuels(rng, lhs, rhs, fuel, model):
-            o1, o2 = dn.observe(lhs, f, model), dn.observe(rhs, f, model)
-            if disagreement(o1, o2, model):
-                fail(case, f"fuel {f}: {o1!r} vs {o2!r}")
-                return
+        compare(case, dn.unwind(lhs, fuel, model), dn.unwind(rhs, fuel, model))
 
     for i in range(cases):
         a = dn.VNum(rng.randint(0, 9))
@@ -435,17 +429,11 @@ def check_laws(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRepo
         law(f"assoc[{i}]", dn.bindT(dn.bindT(d, k), g),
             dn.bindT(d, lambda v: dn.bindT(k(v), g)))
         # Distributive-law coherence: charging commutes with the delay
-        # structure: it never changes the fuel needed, and on a settled
+        # structure: it never changes the Laters needed, and on a settled
         # computation it adds on the left.
-        ch = dn.charge(c, d, model)
-        n_d = dn.laters_needed(d, min(fuel, 10_000), model)
-        n_ch = dn.laters_needed(ch, min(fuel, 10_000), model)
-        if n_d != n_ch:
-            fail(f"dist-fuel[{i}]", f"laters changed {n_d} -> {n_ch}")
-        o_d = dn.observe(d, fuel, model)
-        o_ch = dn.observe(ch, fuel, model)
-        if disagreement(o_ch, _charged(c, o_d, model), model):
-            fail(f"dist-charge[{i}]", f"{o_ch!r} vs charge {model.show(c)} over {o_d!r}")
+        o_d, n_d = dn.unwind(d, fuel, model)
+        compare(f"dist[{i}]", dn.unwind(dn.charge(c, d, model), fuel, model),
+                (_charged(c, o_d, model), n_d))
         # Algebra law: f#(c (+) e) = c (+) f#(e).
         law(f"algebra-bind[{i}]", dn.bindT(dn.charge(c, d, model), k),
             dn.charge(c, dn.bindT(d, k), model))

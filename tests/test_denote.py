@@ -18,8 +18,8 @@ import costpcf.syntax as sx
 from costpcf.cost import DEFAULT_MODEL, STAR, CostModel, Phase, vector_monoid
 from costpcf.denote import (
     DIVERGES, Done, EXHAUSTED, FComp, FunComp, Later, VBool, VNum, VThunk, VTriv,
-    _unwind, bindT, bottom, charge, denote, denote_closed, eta, ground_json,
-    laters_needed, observe,
+    bindT, bottom, charge, denote, denote_closed, eta, ground_json,
+    laters_needed, observe, unwind,
 )
 
 EXT = DEFAULT_MODEL.with_phase(Phase.EXTENSIONAL)
@@ -523,7 +523,7 @@ def test_a_compiled_node_proves_repeats_as_a_fresh_parse_does(name):
     same number of Laters, in particular the same proof of divergence."""
     t = dict(hz.load_corpus())[name]
     fresh = dict(hz.load_corpus())[name]
-    runs = [_unwind(denote_closed(u).to_delay(), 2000, DEFAULT_MODEL) for u in (t, t, fresh)]
+    runs = [unwind(denote_closed(u).to_delay(), 2000, DEFAULT_MODEL) for u in (t, t, fresh)]
     assert runs[0] == runs[1] == runs[2]
     needed = [laters_needed(denote_closed(u).to_delay(), 2000) for u in (t, t, fresh)]
     assert needed[0] == needed[1] == needed[2]
