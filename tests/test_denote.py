@@ -6,6 +6,7 @@ unsettled prefix (a law that held only at large fuel would fail here).
 """
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -161,9 +162,47 @@ def test_charged_function_applies_pointwise():
     assert delays_equal(lhs, rhs)
 
 
+# Fuels at which one unwinding is checked to decide every fuel below it.
+CAPS = (0, 1, 2, 3, 7, 40)
+
+
+def assert_unwind_decides_every_fuel(d, model=DEFAULT_MODEL):
+    """`observe(d, f)` is what `unwind(d, cap)` implies for it, at every f
+    from 0 to cap + 1, for every cap in CAPS."""
+    for cap in CAPS:
+        o, u = unwind(d, cap, model)
+        if o is EXHAUSTED:
+            assert u == cap
+        for f in range(cap + 2):
+            if o is DIVERGES:
+                want = DIVERGES if f > u else EXHAUSTED
+            elif isinstance(o, dn.Defined):
+                want = o if f >= u else EXHAUSTED
+            elif f <= cap:
+                want = EXHAUSTED
+            else:
+                continue  # Exhausted at the cap says nothing above it
+            assert observe(d, f, model) == want, (cap, o, u, f)
+
+
+@pytest.mark.parametrize("model", [DEFAULT_MODEL, CostModel(vector_monoid(2))],
+                         ids=["nat", "vec2"])
+@pytest.mark.parametrize("seed", [1, 2, 3, 47])
+def test_unwind_decides_every_fuel_on_generated_law_delays(seed, model):
+    """The delays the laws suite compares, divergent leaves included."""
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(60):
+        d = hz._gen_delay(rng, model, 4)
+        assert_unwind_decides_every_fuel(d, model)
+        kinds.add(type(unwind(d, 40, model)[0]))
+    assert {dn.Defined, dn.Diverges} <= kinds
+
+
 @settings(max_examples=300, deadline=None)
 @given(delays, st.integers(0, 30))
 def test_fuel_monotonicity(d, extra):
+    assert_unwind_decides_every_fuel(d)
     n = laters_needed(d, 60)
     if n is None:
         if observe(d, 60) is DIVERGES:  # a proof holds at any larger fuel

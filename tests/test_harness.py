@@ -537,6 +537,29 @@ def test_laws_meet_proved_divergences(monkeypatch):
     assert any(isinstance(o, Defined) for o in seen) and EXHAUSTED in seen
 
 
+@pytest.mark.parametrize("fault, detail, laws", [
+    ("extra-later", "Laters needed differ", {"dist", "algebra-bind"}),
+    ("cost-twice", "costs differ", {"dist"}),
+], ids=["extra-later", "cost-twice"])
+def test_laws_see_laters_used_and_costs(monkeypatch, fault, detail, laws):
+    """Two faults in `charge` that leave every side's definedness at the cap
+    as it was: one more Later on every result that is not Done, or the
+    cost added twice.  The laws report each by what it changed."""
+    real = dn.charge
+
+    def charge(c, d, model=DEFAULT_MODEL):
+        if fault == "cost-twice":
+            return real(c, real(c, d, model), model)
+        r = real(c, d, model)
+        return r if isinstance(r, dn.Done) else dn.Later(lambda: r)
+
+    monkeypatch.setattr(dn, "charge", charge)
+    failures = check_laws(seed=1, cases=100, fuel=5000).failures
+    assert failures
+    assert all(f.detail.startswith(detail) for f in failures)
+    assert {f.case.split("[")[0] for f in failures} == laws
+
+
 def test_laws_treat_a_proved_and_an_unproved_divergence_alike(monkeypatch):
     """Every continuation diverges: on its first call through one shared
     Later, which `observe` proves, later through fresh Laters, which it never
