@@ -14,7 +14,6 @@ switches the single-file commands to a short human-readable line.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -35,15 +34,6 @@ def _emit(obj):
 
 
 def _resolve_fuel(fuel):
-    if fuel is None:
-        env = os.environ.get("COSTPCF_FUEL", "").strip()
-        if env:
-            try:
-                fuel = int(env)
-            except ValueError:
-                raise click.UsageError(f"COSTPCF_FUEL={env!r} is not an integer")
-        else:
-            fuel = DEFAULT_FUEL
     if fuel < 1:
         raise click.UsageError("fuel must be >= 1")
     return fuel
@@ -54,7 +44,7 @@ def _resolve_model(monoid, phase):
         m = get_monoid(monoid)
     except ValueError as e:
         raise click.UsageError(str(e))
-    return CostModel(m, Phase.INTENSIONAL if phase == "int" else Phase.EXTENSIONAL)
+    return CostModel(m, Phase(phase))
 
 
 def _load(path, model):
@@ -78,29 +68,19 @@ def _status(outcome, model, **unsettled):
     return {"status": "diverges" if outcome is DIVERGES else "exhausted", **unsettled}
 
 
-def _parse_error_json(e: sx.ParseError):
-    out = {"error": "parse", "msg": e.msg, "line": e.line, "column": e.column}
-    if e.expected:
-        out["expected"] = e.expected
-    return out
-
-
-_common_options = (
-    click.option("--fuel", type=int, default=None,
-                 help=f"Transition/observation budget (default {DEFAULT_FUEL}, or COSTPCF_FUEL)."),
-    click.option("--monoid", default="nat", show_default=True,
-                 help="Cost monoid: nat or vec:<k>."),
-    click.option("--phase", type=click.Choice(("int", "ext")), default="int",
-                 show_default=True, help="Intensional (costs visible) or extensional (sealed)."),
-    click.option("--json/--pretty", "as_json", default=True,
-                 help="Compact JSON (default) or a human-readable line."),
-)
-
-
-def _with_common(fn):
-    for opt in reversed(_common_options):
-        fn = opt(fn)
-    return fn
+# Each option some commands share, declared once; a command stacks the ones
+# it takes.
+_fuel_option = click.option(
+    "--fuel", type=int, default=DEFAULT_FUEL, show_default=True,
+    help="Transition/observation budget.")
+_monoid_option = click.option(
+    "--monoid", default="nat", show_default=True, help="Cost monoid: nat or vec:<k>.")
+_phase_option = click.option(
+    "--phase", type=click.Choice([p.value for p in Phase]), default=Phase.INTENSIONAL.value,
+    show_default=True, help="Intensional (costs visible) or extensional (sealed).")
+_json_option = click.option(
+    "--json/--pretty", "as_json", default=True,
+    help="Compact JSON (default) or a human-readable line.")
 
 
 @click.group()
@@ -110,12 +90,11 @@ def cli():
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--monoid", default="nat", show_default=True,
-              help="Cost monoid: nat or vec:<k>.")
-@click.option("--json/--pretty", "as_json", default=True)
+@_monoid_option
+@_json_option
 def typecheck(path, monoid, as_json):
     """Print the inferred type of the program in PATH."""
-    model = _resolve_model(monoid, "int")
+    model = _resolve_model(monoid, Phase.INTENSIONAL.value)
     judgment = infer((), _load(path, model), monoid=model.monoid)
     shown = show_type(judgment.classification.type)
     if as_json:
@@ -129,7 +108,10 @@ def typecheck(path, monoid, as_json):
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--trace", "with_trace", is_flag=True, default=False,
               help="Include the per-step (cost, term) list.")
-@_with_common
+@_fuel_option
+@_monoid_option
+@_phase_option
+@_json_option
 def step(path, with_trace, fuel, monoid, phase, as_json):
     """Run the abstract machine on PATH and summarize the trace."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
@@ -154,7 +136,10 @@ def step(path, with_trace, fuel, monoid, phase, as_json):
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_with_common
+@_fuel_option
+@_monoid_option
+@_phase_option
+@_json_option
 def profile(path, fuel, monoid, phase, as_json):
     """Total cost of running PATH (a unit-returner) to completion."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
@@ -171,7 +156,10 @@ def profile(path, fuel, monoid, phase, as_json):
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_with_common
+@_fuel_option
+@_monoid_option
+@_phase_option
+@_json_option
 def denote(path, fuel, monoid, phase, as_json):
     """Observe the denotation of PATH (a returner) at the given fuel."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
@@ -194,7 +182,10 @@ def denote(path, fuel, monoid, phase, as_json):
 
 @cli.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_with_common
+@_fuel_option
+@_monoid_option
+@_phase_option
+@_json_option
 def adequacy(path, fuel, monoid, phase, as_json):
     """Check that machine profile and denotation agree on PATH."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
@@ -217,9 +208,9 @@ def adequacy(path, fuel, monoid, phase, as_json):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cases", type=int, default=None,
               help="Cases per suite (suite-specific default when omitted).")
-@click.option("--fuel", type=int, default=None)
-@click.option("--monoid", default="nat", show_default=True)
-@click.option("--phase", type=click.Choice(("int", "ext")), default="int", show_default=True)
+@_fuel_option
+@_monoid_option
+@_phase_option
 def check(suite, seed, cases, fuel, monoid, phase):
     """Run a validation suite; one JSON report line per check."""
     fuel = _resolve_fuel(fuel)
@@ -244,10 +235,7 @@ def main(argv=None) -> int:
         return 1
     except click.exceptions.Abort:
         return 1
-    except sx.ParseError as e:
-        _emit(_parse_error_json(e))
-        return 1
-    except TypeCheckError as e:
+    except (sx.ParseError, TypeCheckError) as e:
         _emit(e.to_json())
         return 1
     except RecursionError as e:

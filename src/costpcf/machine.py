@@ -70,8 +70,6 @@ class Next:
 
 TERMINAL = Terminal()
 
-StepResult = object  # Terminal | Next
-
 
 @dataclass(frozen=True)
 class Mismatch:
@@ -86,10 +84,6 @@ class Trace:
     steps: tuple  # of (cost, Term), or (cost, None) without terms
     total: object
     truncated: bool
-
-
-def is_terminal(t) -> bool:
-    return isinstance(t, (sx.Ret, sx.Lam))
 
 
 # Frames: ("bind", cont) for bind(_, cont); ("ap", arg) for ap(_, arg).
@@ -137,7 +131,7 @@ class _Runner:
         return _plug(self.frames, self.focus)
 
     def at_terminal(self) -> bool:
-        return not self.frames and is_terminal(self.focus)
+        return not self.frames and isinstance(self.focus, (sx.Ret, sx.Lam))
 
     def advance(self, fuel: int, watch: bool = False):
         """Fire at most `fuel` transitions: (their costs added left to right,
@@ -259,7 +253,7 @@ def _repeats(frames, low, snapshot) -> bool:
     return True
 
 
-def out(e, model: CostModel = DEFAULT_MODEL) -> StepResult:
+def out(e, model: CostModel = DEFAULT_MODEL) -> Next | Terminal:
     """One transition of the closed computation e, or Terminal."""
     runner = _Runner(e, model)
     cost, used = runner.advance(1)

@@ -17,6 +17,7 @@ the printer regenerates canonical names from binding depth.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -192,9 +193,6 @@ NO = No()
 ZERO = Zero()
 TRIV = Triv()
 
-# Context: value types, innermost binder first.
-Context = tuple
-
 
 def numeral(n: int) -> Term:
     """Build the Zero/Succ chain for a natural number literal."""
@@ -340,6 +338,8 @@ def _printed_form(cls, keyword, parts):
 
 _PRINTED = {cls: _printed_form(cls, keyword, parts) for cls, (keyword, *parts) in _FORMS.items()}
 _ATOM_WORDS = {type(atom): word for word, atom in _ATOMS.items()}
+# Each atomic type's word, for the printers here and in `typecheck`.
+TYPE_WORDS = {type(atom): word for word, atom in _TYPE_ATOMS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +353,12 @@ class ParseError(Exception):
         self.expected = tuple(expected)
         hint = f" (expected one of: {', '.join(expected)})" if expected else ""
         super().__init__(f"parse error at {line}:{column}: {msg}{hint}")
+
+    def to_json(self) -> dict:
+        out = {"error": "parse", "msg": self.msg, "line": self.line, "column": self.column}
+        if self.expected:
+            out["expected"] = list(self.expected)
+        return out
 
 
 # One match per blank run (newlines included), comment or token: a
@@ -441,12 +447,14 @@ def _parse_term(source: str, toks: list, i: int, monoid):
     locals hold the open form: its class, its parts, how many are left to
     read (the next is `parts[-k]`) and its arguments so far.  Opening a form
     pushes them and closing it pops them; the top level is a one-part form
-    with no class.  The names in scope are one list, innermost first: a
-    binder's name goes in front when read and comes out when its form closes.
+    with no class.  The binder names in scope are one list, outermost first:
+    a binder's name is appended when read and popped when its form closes.
+    `levels` maps each name to the stack of positions in that list that bind
+    it, so the innermost binder of a name is found in O(1).
     """
     if toks[i] is _END:
         raise ParseError("empty input", 1, 1, ("term",))
-    stack, names = [], []
+    stack, names, levels = [], [], defaultdict(list)
     cls, parts, k, args = None, (_TERM,), 1, []
     while True:
         while (part := parts[-k]) is not _TERM:
@@ -456,7 +464,8 @@ def _parse_term(source: str, toks: list, i: int, monoid):
                 if not _is_name(text):
                     raise _error(source, toks, i, f"'{text}' is not a binder name",
                                  ("binder name",))
-                names.insert(0, text)
+                levels[text].append(len(names))
+                names.append(text)
                 i += 1
             elif part is _COST:
                 try:
@@ -484,8 +493,8 @@ def _parse_term(source: str, toks: list, i: int, monoid):
         if term is None:
             if text.isdecimal():
                 term = numeral(int(text))
-            elif text in names:
-                term = Var(names.index(text))
+            elif depths := levels.get(text):
+                term = Var(len(names) - 1 - depths[-1])
             elif _is_name(text):
                 raise _error(source, toks, i - 1, f"unbound variable '{text}'")
             else:
@@ -496,7 +505,8 @@ def _parse_term(source: str, toks: list, i: int, monoid):
                 return args[0], i
             i = _close(source, toks, i)
             term = cls(*args)
-            del names[:parts.count(_BINDER)]
+            if _BINDER in parts:  # a form binds at most one name
+                levels[names.pop()].pop()
             cls, parts, k, args = stack.pop()
             args.append(term)
 
@@ -530,12 +540,9 @@ def _show_cost(c: Cost) -> str:
 
 
 def print_value_type(a: ValueType) -> str:
-    if isinstance(a, Ans):
-        return "ans"
-    if isinstance(a, Nat):
-        return "nat"
-    if isinstance(a, Unit):
-        return "unit"
+    word = TYPE_WORDS.get(type(a))
+    if word is not None:
+        return word
     if isinstance(a, U):
         return f"(U {print_comp_type(a.comp)})"
     raise TypeError(f"not a value type: {a!r}")

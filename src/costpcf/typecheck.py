@@ -64,12 +64,9 @@ def show_type(t) -> str:
     """Human-readable type, e.g. "F nat" or "nat -> F nat"."""
     if isinstance(t, _Meta):
         return "?"
-    if isinstance(t, sx.Ans):
-        return "ans"
-    if isinstance(t, sx.Nat):
-        return "nat"
-    if isinstance(t, sx.Unit):
-        return "unit"
+    word = sx.TYPE_WORDS.get(type(t))
+    if word is not None:
+        return word
     if isinstance(t, sx.U):
         return f"U ({show_type(t.comp)})"
     if isinstance(t, sx.F):

@@ -6,6 +6,7 @@ budget is exceeded.  Scales and tolerances are fixed; do not shrink them to
 make a red run green.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -119,5 +120,7 @@ def test_criterion_7_deterministic_reports(acceptance_log):
         assert r2.returncode == 0
         assert r1.stdout == r2.stdout, "reports differ between runs"
         assert r1.stdout.count("\n") == len(hz.SUITES)
+        assert hashlib.sha256(r1.stdout.encode()).hexdigest() == (
+            "4d400e0595542ac5c22507fadf26ba72210d70a1b5e986b5e88075766bacc5df")
         return "two `check all --seed 1` runs byte-identical"
     _criterion(acceptance_log, 7, "report determinism", 300, go)

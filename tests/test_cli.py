@@ -4,6 +4,7 @@ Most tests drive `main(argv)` in-process and read captured stdout; a couple
 run the CLI in a subprocess to cover the packaging wiring.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import pytest
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
-from costpcf.cli import main
+from costpcf.cli import cli, main
 from costpcf.harness import CheckReport, Failure
 
 
@@ -343,6 +344,34 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["failures"][0]["detail"] == "boom"
 
 
+# The sha256 of what `check` prints at the battery's settings: the battery
+# under each cost model, then each suite alone.  A suite alone prints what it
+# prints inside `check all`: every suite's machine runs share a substitution
+# memo that starts empty.
+CHECK_PINS = [
+    ("all", (), "e8a9d8ef287928aec59d8e19ba953dcc317f6affbfd11fe3903298a2a13184f4"),
+    ("all", ("--phase", "ext"),
+     "e8a9d8ef287928aec59d8e19ba953dcc317f6affbfd11fe3903298a2a13184f4"),
+    ("all", ("--monoid", "vec:2"),
+     "7487e247df6f47f6b3abcd3eb7d284a1c4c0fc96d58755c3cb5aa4314b5d1c52"),
+    ("laws", (), "4a3033f39d9983430f4f82d84b9f4a2599c689183301ce2cd1b09d91854e31e3"),
+    ("soundness", (), "dbee0a6d2b403ce45b6db5dee10ae49632e8513e50f3d4217133fdeeff3fdd00"),
+    ("adequacy", (), "ce5c37663c63040b778b0a3db583410b9ba3b275399f3396f605842736399e03"),
+    ("sequencing", (), "d7a68cae3e54ea871898af77c87ae25c6f82542887e3dc75b0b262ab656cb778"),
+    ("noninterference", (),
+     "1dedaa3e9600028b83e411fa14a671914e51b537c5b2e1a23b9204d263ac9971"),
+]
+
+
+@pytest.mark.parametrize("suite, flags, sha256", CHECK_PINS,
+                         ids=[" ".join((suite, *flags)) for suite, flags, _ in CHECK_PINS])
+def test_check_stdout_matches_its_pin(capsys, suite, flags, sha256):
+    rc, out, _ = run_main(capsys, "check", suite, "--seed", "1", "--cases", "100",
+                          "--fuel", "5000", *flags)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_check_rejects_unknown_suite(capsys):
     rc, _, err = run_main(capsys, "check", "nonsense")
     assert rc == 1
@@ -377,21 +406,29 @@ def test_unknown_monoid(capsys, pcf):
     assert "weird" in err
 
 
-def test_fuel_env_override(capsys, pcf, monkeypatch):
-    path = pcf(COUNTING_LOOP)
-    monkeypatch.setenv("COSTPCF_FUEL", "7")
-    rc, out, _ = run_main(capsys, "profile", path)
+def test_fuel_flag_sets_the_budget(capsys, pcf):
+    rc, out, _ = run_main(capsys, "profile", pcf(COUNTING_LOOP), "--fuel", "3")
     assert rc == 0
-    assert json.loads(out) == {"status": "exhausted", "fuel": 7}
-    # an explicit flag beats the environment
-    rc, out, _ = run_main(capsys, "profile", path, "--fuel", "3")
     assert json.loads(out) == {"status": "exhausted", "fuel": 3}
 
 
-def test_fuel_env_invalid(capsys, pcf, monkeypatch):
-    monkeypatch.setenv("COSTPCF_FUEL", "lots")
-    rc, _, err = run_main(capsys, "profile", pcf("(ret triv)"))
-    assert rc == 1
+# The options that several commands take, by parameter name.
+SHARED_OPTIONS = ("fuel", "monoid", "phase", "as_json")
+
+
+def test_shared_options_are_declared_once():
+    """Every command that takes a shared option takes the same one: the same
+    flags, default, type and help."""
+    takers = {name: [] for name in SHARED_OPTIONS}
+    for command in cli.commands.values():
+        for p in command.params:
+            if p.name in takers:
+                takers[p.name].append(
+                    (p.opts, p.secondary_opts, p.default, p.type.to_info_dict(), p.help))
+    for name, declared in takers.items():
+        assert len(declared) >= 2, name
+        assert all(d == declared[0] for d in declared), name
+        assert declared[0][-1], f"--{name} has no help text"
 
 
 def test_pretty_output_mode(capsys, pcf):

@@ -314,6 +314,12 @@ def test_parse_binders_and_shadowing():
     assert t == Bind(Ret(ZERO), Bind(Ret(Var(0)), Ret(Var(0))))
     t2 = parse("(lam nat x (lam ans y (ret x)))")
     assert t2 == Lam(NAT, Lam(ANS, Ret(Var(1))))
+    # the inner x shadows the outer one, which is seen again once the inner
+    # scope closes
+    t3 = parse("(bind (ret zero) x (bind (ret triv) x (ret x)))")
+    assert t3 == Bind(Ret(ZERO), Bind(Ret(TRIV), Ret(Var(0))))
+    t4 = parse("(bind (ret zero) x (bind (bind (ret triv) x (ret x)) y (ret x)))")
+    assert t4 == Bind(Ret(ZERO), Bind(Bind(Ret(TRIV), Ret(Var(0))), Ret(Var(1))))
 
 
 def test_parse_comments_and_whitespace():
@@ -367,6 +373,8 @@ PARSE_ERRORS = [
     ("(ret a]b)", "nat", "unexpected 'a]b'", 1, 6, ("term",)),
     ("(ret zero[1])", "nat", "unexpected '[1]'", 1, 10, (")",)),
     ("(bind (ret zero) x)", "nat", "unexpected ')'", 1, 19, ("term",)),
+    # a binder's scope ends where its form closes
+    ("(bind (bind (ret zero) x (ret x)) y (ret x))", "nat", "unbound variable 'x'", 1, 42, ()),
     # a numeral is what `int` reads: a superscript digit is no digit
     ("(ret ²)", "nat", "unexpected '²'", 1, 6, ("term",)),
     ("(step ² (ret triv))", "nat", "'²' is not a natural number cost", 1, 7,
