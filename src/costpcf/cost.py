@@ -159,9 +159,6 @@ class CostModel:
             return list(c)
         return c
 
-    def contains(self, c) -> bool:
-        return c is STAR or self.monoid.contains(c)
-
     def with_phase(self, phase: Phase) -> "CostModel":
         return CostModel(self.monoid, phase)
 

@@ -2,27 +2,35 @@
 
 A computation of returner type denotes an element of T A = L(C x A): a
 possibly infinite unfolding that, if it completes, yields one accumulated
-cost and one value.  `Done` and `Later` are the semantic constructors;
-internally two administrative nodes (_Charge, _Seq) keep cost charging and
-sequencing O(1) per observation step, so left-nested binds and unbounded
-charge chains do not blow up.  Administrative nodes are invisible to fuel:
-`unwind` spends fuel on Later unwraps only, so `charge` and `bindT` leave
-the Later structure of their arguments intact.
+cost and one value.  The denotation of a returner is that delay itself.
+`Done` and `Later` are the semantic constructors; two administrative nodes
+(_Charge, _Seq) keep cost charging and sequencing O(1) per observation
+step, so left-nested binds and unbounded charge chains do not blow up.
+Administrative nodes are invisible to fuel: `unwind` spends fuel on Later
+unwraps only, so `charge` and `bindT` leave the Later structure of their
+arguments intact.
+
+A computation of function type denotes a `FunComp`, and the algebra at a
+function type is pointwise: applying a `_Charge` or `_Seq` node pushes the
+argument inside it.  Every computation has `to_delay` (the delay itself, or
+a guard's Later) and `apply`; well-typedness guarantees each is only used
+in the mode its type supports, and the other raises TypeError.
 
 Fixed points unfold lazily: each re-entry into a `fix` body goes through a
 guard that costs exactly one Later, making every denotation productive and
 observation fuel-monotone.  A guard builds its Later once and every
-re-entry shares it; fuel is still charged per unwrap, never per object.
-`unwind` stops early and answers Diverges once it meets the same Later
-again in a state that proves it repeats forever.
+re-entry shares it, and `unwind` reads a guard as that Later; fuel is
+still charged per unwrap, never per object.  `unwind` stops early and
+answers Diverges once it meets the same Later again in a state that proves
+it repeats forever.
 
 The denotation [[e]] : [[Gamma]] -> T[[A]] is built once per term node, by
 recursion on the syntax, and then applied to environments: `_compile` turns
-a computation node into a closure `(env, model) -> SemComp` and caches it on
-the node itself (the `_code` slot of `syntax._Node`).  The model is an
-argument, so one cached closure serves every cost model and phase.  Bodies
-of `lam` and `fix`, the branches of `ifz` and `bind` continuations are
-compiled when first entered; everything else when its parent is.
+a computation node into a closure `(env, model) -> computation` and caches
+it on the node itself (the `_code` slot of `syntax._Node`).  The model is
+an argument, so one cached closure serves every cost model and phase.
+Bodies of `lam` and `fix`, the branches of `ifz` and `bind` continuations
+are compiled when first entered; everything else when its parent is.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class VNum:
 @record
 class VThunk:
     __slots__ = ("comp",)
-    comp: object  # SemComp
+    comp: object  # a computation: a delay node, FunComp or GuardComp
 
 
 TRIV = VTriv()
@@ -84,31 +92,50 @@ def ground_json(v):
 # ---------------------------------------------------------------------------
 # The delay structure
 
+class _Delay:
+    """A delay node: a returner computation that is its own delay."""
+
+    __slots__ = ()
+
+    def to_delay(self):
+        return self
+
+    def apply(self, v):
+        raise TypeError(f"{type(self).__name__} is not a function computation")
+
+
 @record
-class Done:
+class Done(_Delay):
     __slots__ = ("cost", "value")
     cost: object
     value: object
 
 
 @record
-class Later:
+class Later(_Delay):
     __slots__ = ("thunk",)
     thunk: Callable  # () -> Delay
 
 
 @record
-class _Charge:
+class _Charge(_Delay):
     __slots__ = ("cost", "inner")
     cost: object
     inner: object
 
+    def apply(self, v):
+        return _Charge(self.cost, self.inner.apply(v))
+
 
 @record
-class _Seq:
+class _Seq(_Delay):
     __slots__ = ("head", "cont")
     head: object
     cont: Callable  # value -> Delay
+
+    def apply(self, v):
+        cont = self.cont
+        return _Seq(self.head, lambda a: cont(a).apply(v))
 
 
 def bottom() -> Later:
@@ -123,7 +150,8 @@ def eta(a, model: CostModel = DEFAULT_MODEL) -> Done:
 
 
 def charge(c, d, model: CostModel = DEFAULT_MODEL):
-    """Add c (on the left) to the eventual cost of d.
+    """Add c (on the left) to the eventual cost of d, at any computation
+    type: at a function type, to the cost of every application of d.
 
     The Later structure of d is untouched, so charging never changes how
     much fuel an observation needs.
@@ -134,7 +162,8 @@ def charge(c, d, model: CostModel = DEFAULT_MODEL):
 
 
 def bindT(d, k):
-    """Kleisli sequencing: costs add, partiality composes."""
+    """Kleisli sequencing: costs add, partiality composes.  At a function
+    type, k returns functions and an argument is passed on to k's result."""
     return _Seq(d, k)
 
 
@@ -148,9 +177,10 @@ def unwind(d, fuel, model: CostModel = DEFAULT_MODEL):
     the fuel check runs before the repeat check; Exhausted (u = fuel) is
     Exhausted at every f <= fuel.
 
-    Dispatch is on exact node type, Later first.  Later is read per call (a
-    tracer may swap in a counting subclass); other subclasses of it take the
-    isinstance fallback once and are then dispatched as Later.
+    Dispatch is on exact node type, Later first; a fix guard is read as
+    its shared Later.  Later is read per call (a tracer may swap in a
+    counting subclass); other subclasses of it take the isinstance fallback
+    once and are then dispatched as Later.
 
     A delay that provably repeats forever answers Diverges at once: at each
     power-of-two count of unwraps the Later and the continuation stack
@@ -193,6 +223,8 @@ def unwind(d, fuel, model: CostModel = DEFAULT_MODEL):
             d = pop()(d.value)
             if len(stack) < low:
                 low = len(stack)
+        elif tp is GuardComp:
+            d = d.to_delay()
         elif isinstance(d, Later):
             later = tp
         else:
@@ -217,103 +249,44 @@ def laters_needed(d, limit: int, model: CostModel = DEFAULT_MODEL):
 
 
 # ---------------------------------------------------------------------------
-# Semantic computations
+# Semantic computations that are not delay nodes
 
-class SemComp:
-    """A denoted computation: observable as a delay at returner type,
-    applicable at function type.  Well-typedness guarantees each instance is
-    only ever used in the mode its type supports."""
-
-    def to_delay(self):
-        raise TypeError(f"{type(self).__name__} is not a returner computation")
-
-    def apply(self, v) -> "SemComp":
-        raise TypeError(f"{type(self).__name__} is not a function computation")
-
-
-class FComp(SemComp):
-    """A returner: wraps a Delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay):
-        self.delay = delay
-
-    def to_delay(self):
-        return self.delay
-
-
-class FunComp(SemComp):
+class FunComp:
     """A function: a host function from semantic values to computations.
 
-    The function is stored as the instance's own `apply`, a slot that
-    shadows `SemComp.apply`, so applying it calls the host function with no
-    frame in between."""
+    The function is stored as the instance's own `apply` slot, so applying
+    it calls the host function with no frame in between."""
 
     __slots__ = ("apply",)
 
     def __init__(self, fn):
         self.apply = fn
 
-
-class BindComp(SemComp):
-    """Sequencing at any computation type: the T-algebra applied pointwise.
-
-    At returner type this is bindT; at function type the pending argument is
-    pushed into the continuation.
-    """
-
-    __slots__ = ("head", "cont")
-
-    def __init__(self, head: SemComp, cont):
-        self.head = head
-        self.cont = cont  # value -> SemComp
-
     def to_delay(self):
-        return bindT(self.head.to_delay(), lambda a: self.cont(a).to_delay())
-
-    def apply(self, v) -> SemComp:
-        return BindComp(self.head, lambda a: self.cont(a).apply(v))
+        raise TypeError("FunComp is not a returner computation")
 
 
-class ChargeComp(SemComp):
-    """Cost charging at any computation type, applied pointwise at arrows."""
-
-    __slots__ = ("cost", "inner", "model")
-
-    def __init__(self, cost, inner: SemComp, model: CostModel):
-        self.cost = cost
-        self.inner = inner
-        self.model = model
-
-    def to_delay(self):
-        return charge(self.cost, self.inner.to_delay(), self.model)
-
-    def apply(self, v) -> SemComp:
-        return ChargeComp(self.cost, self.inner.apply(v), self.model)
-
-
-class GuardComp(SemComp):
+class GuardComp:
     """A fix re-entry point: one Later per unfolding, in either mode.  Its
-    Later is built once and shared; each unwrap still spends one fuel.  It
-    also keeps the guard it built for its last argument (one slot, compared
-    by identity), so a loop that passes its argument on unchanged meets the
-    same Later again."""
+    Later is built once and shared, and `unwind` reads the guard as it;
+    each unwrap still spends one fuel.  It also keeps the guard it built for
+    its last argument (one slot, compared by identity), so a loop that
+    passes its argument on unchanged meets the same Later again."""
 
     __slots__ = ("enter", "_delay", "_arg", "_applied")
 
     def __init__(self, enter):
-        self.enter = enter  # () -> SemComp
+        self.enter = enter  # () -> computation
         self._delay = None
         self._arg = self._applied = None
 
     def to_delay(self):
         if self._delay is None:
-            enter = self.enter  # not self: no guard -> Later -> guard cycle
-            self._delay = Later(lambda: enter().to_delay())
+            # The Later holds `enter`, not self: no guard -> Later -> guard cycle.
+            self._delay = Later(self.enter)
         return self._delay
 
-    def apply(self, v) -> SemComp:
+    def apply(self, v):
         if v is not self._arg:
             enter = self.enter
             self._arg = v
@@ -326,8 +299,8 @@ class GuardComp(SemComp):
 #
 # A cached closure captures only compile-time data: child closures, child
 # nodes still to compile, indices, costs and closed numerals.  It never
-# captures an environment, a model, a value built at run time or a SemComp,
-# so it can be shared by every denotation of its node.  A child that may
+# captures an environment, a model, or a value or computation built at run
+# time, so it can be shared by every denotation of its node.  A child that may
 # never run is compiled on first entry, through the node's cache; value
 # positions compile through `_value_code` into closures that only their
 # parent holds.  Dispatch is on exact node type, most frequent first, as in
@@ -364,15 +337,15 @@ def _compile(t):
         arg = _value_code(t.arg)
 
         def code(env, model):
-            return FComp(Done(model.zero(), arg(env, model)))
+            return Done(model.zero(), arg(env, model))
     elif tp is sx.Bind:
         head = t.head
         head = head._code or _compile(head)
         cont = t.cont
 
         def code(env, model):
-            return BindComp(head(env, model),
-                            lambda a: (cont._code or _compile(cont))((a,) + env, model))
+            return _Seq(head(env, model),
+                        lambda a: (cont._code or _compile(cont))((a,) + env, model))
     elif tp is sx.Var:
         i = t.index
 
@@ -384,7 +357,7 @@ def _compile(t):
         body = body._code or _compile(body)
 
         def code(env, model):
-            return ChargeComp(cost, body(env, model), model)
+            return charge(cost, body(env, model), model)
     elif tp is sx.Fix:
         body = t.body
 
@@ -434,7 +407,8 @@ def _value_code(t):
 
 
 def denote(ctx, t, env, model: CostModel = DEFAULT_MODEL):
-    """Compositional interpretation: SemValue for values, SemComp otherwise.
+    """Compositional interpretation: a semantic value for a value node, a
+    computation (a delay node, FunComp or GuardComp) otherwise.
 
     Precondition: t typechecks in ctx and env matches ctx pointwise.
     """
@@ -443,6 +417,6 @@ def denote(ctx, t, env, model: CostModel = DEFAULT_MODEL):
     return (t._code or _compile(t))(tuple(env), model)
 
 
-def denote_closed(t, model: CostModel = DEFAULT_MODEL) -> SemComp:
+def denote_closed(t, model: CostModel = DEFAULT_MODEL):
     """Denotation of a closed computation."""
     return (t._code or _compile(t))((), model)

@@ -372,6 +372,36 @@ def test_check_stdout_matches_its_pin(capsys, suite, flags, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# The sha256 of what commands print over the whole corpus, in sorted file
+# order: each command's stdout on each program, then a line
+# `<command> <file> exit <code>`.  `denote` exits 1 on the 3 non-returners,
+# `adequacy` on the 11 non-unit programs, and both report omega, grow_loop and
+# ticking_loop as "diverges".  Under vec:2 most programs pin the parse error
+# of their nat cost literals.  A node's cached closure takes the cost model
+# as an argument, so no answer may depend on which model denoted it first.
+CORPUS_PINS = [
+    ("typecheck step denote adequacy",
+     [("typecheck",), ("step", "--fuel", "2000"), ("denote", "--fuel", "2000"),
+      ("adequacy", "--fuel", "2000")],
+     "bafbdf36158110ed0dffdc1509cf027a7dab787af7601017a11cff16da1bf198"),
+    ("denote vec:2", [("denote", "--fuel", "2000", "--monoid", "vec:2")],
+     "6800a5ad510ed555a4ae294d5995351fb2aa02be6bef0b80b7fe1b4886702e07"),
+    ("denote ext", [("denote", "--fuel", "2000", "--phase", "ext")],
+     "22b80e754b60cfb9563ab4dd23a6c7eac5f84085b64b871ebe04f977f88015a9"),
+]
+
+
+@pytest.mark.parametrize("commands, sha256", [pin[1:] for pin in CORPUS_PINS],
+                         ids=[pin[0] for pin in CORPUS_PINS])
+def test_corpus_stdout_matches_its_pin(capsys, commands, sha256):
+    out = []
+    for name, _ in hz.load_corpus():
+        for command, *flags in commands:
+            rc = main([command, corpus_path(name), *flags])
+            out.append(f"{capsys.readouterr().out}{command} {name} exit {rc}\n")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == sha256
+
+
 def test_check_rejects_unknown_suite(capsys):
     rc, _, err = run_main(capsys, "check", "nonsense")
     assert rc == 1

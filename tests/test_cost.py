@@ -46,6 +46,10 @@ def test_nat_monoid_spec_examples():
     assert DEFAULT_MODEL.eq(4, 4)
     assert not DEFAULT_MODEL.eq(4, 5)
     assert NAT_MONOID.parse("7") == 7
+    assert NAT_MONOID.contains(3)
+    assert not NAT_MONOID.contains((1, 2))
+    assert not NAT_MONOID.contains(-1)
+    assert not NAT_MONOID.contains("3")
 
 
 def test_vector_monoid_spec_examples():
@@ -109,13 +113,6 @@ def test_model_json_forms():
     vec = CostModel(monoid=vector_monoid(2))
     assert vec.to_json((1, 3)) == [1, 3]
     assert EXT.to_json(EXT.zero()) == "*"
-
-
-def test_model_contains_gates_literals():
-    assert DEFAULT_MODEL.contains(3)
-    assert not DEFAULT_MODEL.contains((1, 2))
-    assert not DEFAULT_MODEL.contains(-1)
-    assert not DEFAULT_MODEL.contains("3")
 
 
 def test_with_phase_is_nondestructive():

@@ -18,7 +18,7 @@ import costpcf.machine as mc
 import costpcf.syntax as sx
 from costpcf.cost import DEFAULT_MODEL, STAR, CostModel, Phase, vector_monoid
 from costpcf.denote import (
-    DIVERGES, Done, EXHAUSTED, FComp, FunComp, Later, VBool, VNum, VThunk, VTriv,
+    DIVERGES, Done, EXHAUSTED, FunComp, Later, VBool, VNum, VThunk, VTriv,
     bindT, bottom, charge, denote, denote_closed, eta, ground_json,
     laters_needed, observe, unwind,
 )
@@ -155,11 +155,33 @@ def test_charge_composes_additively(c1, c2, d):
 
 def test_charged_function_applies_pointwise():
     # (c (+) f)(a) = c (+) f(a), stated on the algebra carrier
-    fn = FunComp(lambda v: FComp(charge(1, eta(v))))
-    charged = dn.ChargeComp(2, fn, DEFAULT_MODEL)
-    lhs = charged.apply(VNum(4)).to_delay()
-    rhs = charge(2, fn.apply(VNum(4)).to_delay())
+    fn = FunComp(lambda v: charge(1, eta(v)))
+    lhs = charge(2, fn).apply(VNum(4))
+    rhs = charge(2, fn.apply(VNum(4)))
     assert delays_equal(lhs, rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays, _konts, _VALUES)
+def test_bind_at_a_function_type_applies_pointwise(d, k, v):
+    # bindT(d, \a. f_a)(v) = bindT(d, \a. f_a(v)), f_a returning k's result then a
+    def fn(a):
+        return FunComp(lambda w: bindT(k(w), lambda _: eta(a)))
+
+    assert delays_equal(bindT(d, fn).apply(v), bindT(d, lambda a: fn(a).apply(v)))
+
+
+@pytest.mark.parametrize("src, outcome, laters", [
+    # The argument reaches the loop's guard through a bind at a function type.
+    ("(ap (bind (step 2 (ret triv)) u (fix f (lam nat n (ap f n)))) 0)", DIVERGES, 1),
+    # ... and through a charge at a function type.
+    ("(ap (step 3 (fix f (lam nat n (ifz n (ret n) p (step 1 (ap f p)))))) 4)",
+     dn.Defined(7, VNum(0)), 4),
+])
+def test_applying_a_charged_or_sequenced_function(src, outcome, laters):
+    t = sx.parse(src)
+    assert unwind(denote_closed(t).to_delay(), 1000) == (outcome, laters)
+    assert hz.check_soundness([(src, t)], 1000) == hz.CheckReport("soundness", 1, ())
 
 
 # Fuels at which one unwinding is checked to decide every fuel below it.
@@ -222,7 +244,7 @@ def test_fuel_monotonicity(d, extra):
 
 def test_denote_spec_examples():
     c = denote_closed(sx.parse("(step 2 (ret triv))"))
-    assert isinstance(c, dn.SemComp)  # returner mode: to_delay is available
+    assert c.to_delay() is c  # a returner denotes its own delay
     assert observe(c.to_delay(), 5) == dn.Defined(2, dn.TRIV)
 
     c = denote_closed(sx.Ifz(sx.ZERO, sx.Ret(sx.YES), sx.Ret(sx.NO)))
@@ -285,7 +307,7 @@ def test_reobserving_a_fix_denotation_matches_a_fresh_one(name):
 
 def test_guard_reuses_its_later():
     d = denote_closed(sx.parse("(fix x x)")).to_delay()
-    assert d.thunk() is d
+    assert d.thunk().to_delay() is d  # the unwrap re-enters the same guard
     assert observe(d, 50) is DIVERGES
 
 
@@ -389,6 +411,8 @@ def plain_unwind(d, fuel, model=DEFAULT_MODEL):
         elif isinstance(d, dn._Seq):
             stack.append(d.cont)
             d = d.head
+        elif isinstance(d, dn.GuardComp):
+            d = d.to_delay()
         elif stack:
             pending = model.add(pending, d.cost)
             d = stack.pop()(d.value)
@@ -501,7 +525,7 @@ def test_repeat_check_compares_laters_by_identity():
 
 
 def test_guard_remembers_one_applied_guard():
-    g = dn.GuardComp(lambda: FunComp(lambda v: FComp(eta(v))))
+    g = dn.GuardComp(lambda: FunComp(lambda v: eta(v)))
     refs = []
     for i in range(100):
         a = VNum(i)

@@ -16,7 +16,7 @@ import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
 from costpcf.cli import DEFAULT_FUEL
-from costpcf.cost import DEFAULT_MODEL, Phase, vector_monoid, CostModel
+from costpcf.cost import DEFAULT_MODEL, STAR, Phase, vector_monoid, CostModel
 from costpcf.harness import (
     CheckReport, Failure, GenConfig, SUITES, adequacy_verdict, agreement,
     check_adequacy, check_laws, check_noninterference, check_sequencing_laws,
@@ -257,6 +257,20 @@ def test_noninterference_suite_smoke():
     rep = check_noninterference(fns, pairs, fuel=20_000)
     assert rep.cases == 80
     assert rep.failures == ()
+
+
+def test_noninterference_sees_an_unsealed_extensional_cost(monkeypatch):
+    """An `add` that seals only STAR operands leaves Extensional costs raw.
+    The Extensional `eq` still equates every cost, so the answers agree and
+    only the seal check can report it."""
+    def leaky_add(self, a, b):
+        return STAR if a is STAR or b is STAR else self.monoid.add(a, b)
+
+    monkeypatch.setattr(CostModel, "add", leaky_add)
+    rep = check_noninterference(gen_ni_functions(21, 10), gen_ni_arg_pairs(22, 8, fuel=20_000),
+                                fuel=20_000)
+    assert rep.failures
+    assert {f.detail for f in rep.failures} == {"extensional cost failed to seal"}
 
 
 def test_run_suite_dispatch_and_determinism():
@@ -543,15 +557,16 @@ def test_laws_meet_proved_divergences(monkeypatch):
 ], ids=["extra-later", "cost-twice"])
 def test_laws_see_laters_used_and_costs(monkeypatch, fault, detail, laws):
     """Two faults in `charge` that leave every side's definedness at the cap
-    as it was: one more Later on every result that is not Done, or the
-    cost added twice.  The laws report each by what it changed."""
+    as it was: one more Later on every returner result that is not Done, or
+    the cost added twice.  The laws report each by what it changed."""
     real = dn.charge
 
     def charge(c, d, model=DEFAULT_MODEL):
         if fault == "cost-twice":
             return real(c, real(c, d, model), model)
         r = real(c, d, model)
-        return r if isinstance(r, dn.Done) else dn.Later(lambda: r)
+        # A Later is not applicable, so a charged function is left as it is.
+        return r if isinstance(r, dn.Done) or isinstance(d, dn.FunComp) else dn.Later(lambda: r)
 
     monkeypatch.setattr(dn, "charge", charge)
     failures = check_laws(seed=1, cases=100, fuel=5000).failures
