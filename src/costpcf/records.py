@@ -1,6 +1,6 @@
 """Immutable records that are cheap to construct.
 
-Term nodes, delay nodes, semantic values and outcomes are built by the
+Term nodes, types, delay nodes, semantic values and outcomes are built by the
 thousand per run, so their construction cost is a large share of both
 semantics.  `record` makes each a frozen dataclass, so `==`, `hash`,
 `repr` and `dataclasses.fields` are generated as usual, but gives it an

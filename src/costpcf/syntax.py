@@ -45,18 +45,21 @@ class Unit:
         return "Unit"
 
 
-@dataclass(frozen=True)
+@record
 class U:
+    __slots__ = ("comp",)
     comp: "CompType"
 
 
-@dataclass(frozen=True)
+@record
 class F:
+    __slots__ = ("value",)
     value: "ValueType"
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
+    __slots__ = ("dom", "cod")
     dom: "ValueType"
     cod: "CompType"
 

@@ -1,10 +1,11 @@
 """The record contract of the fast-constructing records (`records.record`).
 
-Term nodes, delay nodes, semantic values, `Defined` and `Next` must behave
-exactly as the frozen dataclasses they are: the same repr, equality, hash,
-field list and immutability.  The printer reads the field list, pinned
-stdout reads the reprs, and the machine, the denotation and the harness
-compare records with `==`.
+Term nodes, delay nodes, semantic values, `Defined`, `Next`, the compound
+types and the type checker's judgments must behave exactly as the frozen
+dataclasses they are: the same repr, equality, hash, field list, match
+arguments and immutability.  The printer reads the field list, pinned
+stdout reads the reprs, and the machine, the denotation, the type checker
+and the harness compare records with `==`.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import costpcf.denote as dn
 import costpcf.machine as mc
 import costpcf.outcome as oc
 import costpcf.syntax as sx
+import costpcf.typecheck as tc
 
 # Every class made by `records.record`, with its fields in order.
 FIELDS = {
@@ -37,8 +39,15 @@ FIELDS = {
     dn.VBool: ("flag",),
     oc.Defined: ("cost", "value"),
     mc.Next: ("cost", "term"),
+    sx.U: ("comp",),
+    sx.F: ("value",),
+    sx.Arrow: ("dom", "cod"),
+    tc.Value: ("type",),
+    tc.Computation: ("type",),
+    tc.TypeJudgment: ("context", "subject", "classification"),
 }
 TERM_NODES = [cls for cls in FIELDS if issubclass(cls, sx._Node)]
+TYPE_RECORDS = (sx.U, sx.F, sx.Arrow, tc.Value, tc.Computation, tc.TypeJudgment)
 LEAVES = (sx.Yes, sx.No, sx.Zero, sx.Triv)
 
 records = pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
@@ -62,6 +71,11 @@ def sample(cls, offset=0):
 @records
 def test_fields_are_listed_in_order(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[cls]
+
+
+@records
+def test_match_args_are_the_fields(cls):
+    assert cls.__match_args__ == FIELDS[cls]
 
 
 @records
@@ -125,6 +139,14 @@ def test_term_nodes_have_only_slots(cls):
         node._range = 3
     with pytest.raises(AttributeError):
         node.extra = 3
+
+
+@pytest.mark.parametrize("cls", TYPE_RECORDS, ids=lambda cls: cls.__name__)
+def test_types_and_judgments_have_only_slots(cls):
+    r = sample(cls)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(AttributeError):
+        r.extra = 3
 
 
 # The loose range of `sample(cls)`, whose fields are Var(1), Var(2), Var(3)

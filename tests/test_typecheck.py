@@ -159,6 +159,8 @@ TYPE_ERRORS = [
      [], "fix body: infinite type", False),
     ("(step [1,2] (ret triv))", "vec:2", None,
      [], "step cost (1, 2) is not an element of monoid nat", False),
+    ("(ret (succ (succ yes)))", "nat", None,
+     ["arg", "arg", "arg"], "succ argument: ans does not match nat", False),
 ]
 
 
@@ -170,6 +172,19 @@ def test_type_errors_are_pinned(src, monoid, expected, at, msg, ambiguous):
         infer((), t, expected=expected)
     assert ei.value.to_json() == {"error": "type", "at": at, "msg": msg}
     assert ei.value.ambiguous is ambiguous
+
+
+def test_error_paths_name_each_step_outermost_first():
+    """The path of an error lists the field taken at each node from the root
+    down, also under an open context and under a deep chain of nodes."""
+    with pytest.raises(TypeCheckError) as ei:
+        infer((NAT,), Ret(Var(3)))
+    assert ei.value.to_json() == {"error": "type", "at": ["arg"], "msg": "unbound variable index 3"}
+    deep = "(step 1 " * 500 + "(ap (ret triv) 3)" + ")" * 500
+    with pytest.raises(TypeCheckError) as ei:
+        infer((), parse(deep))
+    assert ei.value.path == ("body",) * 500 + ("fun",)
+    assert ei.value.msg == "ap head has type F unit, not an arrow"
 
 
 def test_program_type_reads_an_open_type_at_f_unit():
