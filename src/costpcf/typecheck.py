@@ -8,11 +8,11 @@ zonked result.  An underdetermined result type (the bare `fix x x`) is
 reported as ambiguous; checking against an expected type resolves it, and
 `program_type` reads each open metavariable at a default type.
 
-Each node costs O(1) work beyond unifying the types it meets.  Dispatch, on
-terms and types alike, is on exact type, most frequent first: no class
-subclasses a term node or a type.  A node hands each child the link
-`(path, field)` (None at the root), not a copy of its path; `_at` spells a
-link out as a tuple only when a TypeCheckError is raised.
+A node costs O(1) work beyond unifying its types and, at a binder, copying
+the context.  Dispatch, on terms and types alike, is on exact type, most
+frequent first: no class subclasses a term node or a type.  A node hands
+each child the link `(path, field)` (None at the root), not a copy of its
+path; `_at` spells the links out only when a TypeCheckError is raised.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class _Infer:
         self.meta = None  # the last `fix` metavariable: without one, none exists
 
     def resolve(self, t):
-        # Keyed by the meta itself: an id() key could be reused by a fresh one.
+        # Keyed by the meta itself (identity hash): an id() could be reused.
         solutions = self.solutions
         while type(t) is _Meta and t in solutions:
             t = solutions[t]
