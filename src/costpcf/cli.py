@@ -144,7 +144,7 @@ def profile(path, fuel, monoid, phase, as_json):
     """Total cost of running PATH (a unit-returner) to completion."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
-    res = mc.profile(t, fuel, model)
+    res = mc.settle(t, fuel, model)[0]
     if as_json:
         _emit(_status(res, model, fuel=fuel))
     elif isinstance(res, Defined):

@@ -470,10 +470,11 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
     Per program that does not settle: the machine and [[e]] both diverge
     or run out of fuel.  Both checks use the one agreement rule.
 
-    Terminating programs get every transition checked; divergent ones are
-    capped at DIVERGENT_STEP_CAP transitions (their transition graphs are
-    cyclic modulo substitution, so a small prefix already covers each rule).
-    Each [[e_k]] along the run is observed once and shared by the two
+    The transitions come from one `mc.trace` of the program: terminating
+    programs get every transition checked; divergent ones are capped at
+    DIVERGENT_STEP_CAP transitions (their transition graphs are cyclic
+    modulo substitution, so a small prefix already covers each rule).  Each
+    [[e_k]] along the run is observed once and shared by the two
     transitions it borders.  `programs` is a list of (name, term) pairs;
     only those of a ground returner type are checked, the others are
     skipped (they still count in `cases`).
@@ -486,25 +487,23 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
         cap = used if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
 
         # Prop: one transition preserves the denotation up to charging.
-        cur = e
         whole = lhs = dn.denote_closed(e, model).to_delay()
         obs = o_lhs = dn.observe(lhs, fuel, model)
-        for stepno in range(cap):
-            r = mc.out(cur, model)
-            if isinstance(r, mc.Terminal):
-                break
-            nxt = dn.denote_closed(r.term, model).to_delay()
+        steps = mc.trace(e, cap, model).steps
+        for stepno, (cost, term) in enumerate(steps):
+            nxt = dn.denote_closed(term, model).to_delay()
             o_nxt = dn.observe(nxt, fuel, model)
-            why = agreement(o_lhs, _charged(r.cost, o_nxt, model),
+            why = agreement(o_lhs, _charged(cost, o_nxt, model),
                             lambda f: dn.observe(lhs, f, model),
-                            lambda f: _charged(r.cost, dn.observe(nxt, f, model), model),
+                            lambda f: _charged(cost, dn.observe(nxt, f, model), model),
                             fuel, model)[0]
             if why:
+                before = steps[stepno - 1][1] if stepno else e
                 failures.append(Failure(
-                    f"per-step:{name}", (sx.print_term(e), sx.print_term(cur)),
+                    f"per-step:{name}", (sx.print_term(e), sx.print_term(before)),
                     f"transition {stepno}: {why}", fuel))
                 break
-            cur, lhs, o_lhs = r.term, nxt, o_nxt
+            lhs, o_lhs = nxt, o_nxt
 
         # Thm: machine evaluation is reflected exactly in the denotation.
         why = agreement(obs, machine, lambda f: dn.observe(whole, f, model),
@@ -566,7 +565,7 @@ def gen_sequencing_instances(seed, cases_per_law, fuel, model: CostModel = DEFAU
         return _gen_terminating(rng, target, (2, 4), monoid, ctx)
 
     def terminates(t):
-        return mc.run(t, fuel, model) is not None
+        return isinstance(mc.settle(t, fuel, model)[0], Defined)
 
     ground = list(_GROUND)
     for law in ("eval-seq", "prof-seq", "prof-assoc", "comm-app-seq"):
@@ -659,7 +658,7 @@ def gen_ni_arg_pairs(seed, count, fuel, model: CostModel = DEFAULT_MODEL):
 
     def thunk():
         t = _gen_terminating(rng, sx.F(sx.UNIT), (1, 4), model.monoid)
-        return t if isinstance(mc.profile(t, fuel, model), Defined) else None
+        return t if isinstance(mc.settle(t, fuel, model)[0], Defined) else None
 
     while len(pairs) < count and attempts < count * 30:
         attempts += 1

@@ -15,9 +15,11 @@ Terminal states are exactly `ret(v)` and `lam(e)`.
 
 The machine has one driver loop, `_Runner.advance`: it fires head rules
 on a persistent frame stack, so finding the next redex under a long bind/ap
-spine costs O(1) per step instead of O(depth).  `settle`, behind `run`,
-`eval_term` and `profile`, calls it once for the whole run; `trace` and
-`out` call it one transition at a time.  The substitution a head rule
+spine costs O(1) per step instead of O(depth).  The machine's two drivers
+call it: `settle` once for the whole run, `trace` one transition at a time.
+`run`, `eval_term` and `profile` are views over `settle`, and `out` is one
+transition of `trace`'s loop; they are kept only for the benchmark and the
+tests, and nothing else in the package calls them.  The substitution a head rule
 performs is not O(1): it rebuilds only the subterms that mention the bound
 index and shares the rest, and the replacement, always closed here, is
 shared rather than copied (see `syntax.subst`).  It is also done once per

@@ -388,6 +388,17 @@ CORPUS_PINS = [
      "6800a5ad510ed555a4ae294d5995351fb2aa02be6bef0b80b7fe1b4886702e07"),
     ("denote ext", [("denote", "--fuel", "2000", "--phase", "ext")],
      "22b80e754b60cfb9563ab4dd23a6c7eac5f84085b64b871ebe04f977f88015a9"),
+    # Every transition of every corpus program, one (cost, term) line each.
+    ("step trace", [("step", "--fuel", "200", "--trace")],
+     "960130f48735ca0746776f1de74130e97c713171b83db9960ad10ab5a751c9d2"),
+    ("profile", [("profile", "--fuel", "2000")],
+     "5abaeca20e974e7a2838d3ce89c02d706fe1f36e7238f1584a8f50362f7f10b3"),
+    # The --pretty line of each single-file command.
+    ("pretty",
+     [("typecheck", "--pretty"), ("step", "--fuel", "2000", "--pretty"),
+      ("profile", "--fuel", "2000", "--pretty"), ("denote", "--fuel", "2000", "--pretty"),
+      ("adequacy", "--fuel", "2000", "--pretty")],
+     "aef50e0d0717ca407ac2c16d028885dca60694b5dd234e8bb0c33bbde05fd23a"),
 ]
 
 
@@ -400,6 +411,22 @@ def test_corpus_stdout_matches_its_pin(capsys, commands, sha256):
             rc = main([command, corpus_path(name), *flags])
             out.append(f"{capsys.readouterr().out}{command} {name} exit {rc}\n")
     assert hashlib.sha256("".join(out).encode()).hexdigest() == sha256
+
+
+def test_malformed_sources_match_their_pinned_parse_errors(capsys, tmp_path):
+    """The parse error of each of the first 23 malformed sources of
+    tests/test_syntax.py through `typecheck`: every field of its JSON line,
+    and its exit code."""
+    from test_syntax import PARSE_ERRORS
+    out = []
+    for n, (src, monoid, *_) in enumerate(PARSE_ERRORS[:23], 1):
+        path = tmp_path / f"bad_{n}.pcf"
+        path.write_bytes(src.encode())
+        flags = () if monoid == "nat" else ("--monoid", monoid)
+        rc = main(["typecheck", str(path), *flags])
+        out.append(f"{capsys.readouterr().out}typecheck bad_{n} exit {rc}\n")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "21c2bd6382a6ff793e73033b6b7772f131ada577a19d61b9487f973a2f21f1c9")
 
 
 def test_check_rejects_unknown_suite(capsys):

@@ -347,22 +347,42 @@ def _countdown3():
 def test_soundness_reports_a_per_step_fault(monkeypatch):
     """Sharing each observation between two transitions still catches a
     single transition whose cost is off by one."""
-    real_out = mc.out
-    seen = []
+    real_trace = mc.trace
+    traces = []
 
-    def out_off_by_one_once(e, model=DEFAULT_MODEL):
-        r = real_out(e, model)
-        if isinstance(r, mc.Next):
-            seen.append(e)
-            if len(seen) == 2:
-                return mc.Next(model.add(r.cost, 1), r.term)
-        return r
+    def trace_off_by_one_once(e, fuel, model=DEFAULT_MODEL, terms=True):
+        tr = real_trace(e, fuel, model, terms)
+        traces.append(tr)
+        (first, (cost, term), *rest) = tr.steps
+        return mc.Trace((first, (model.add(cost, 1), term), *rest), tr.total, tr.truncated)
 
-    monkeypatch.setattr(mc, "out", out_off_by_one_once)
+    monkeypatch.setattr(mc, "trace", trace_off_by_one_once)
     rep = check_soundness(_countdown3(), fuel=10_000)
     assert [f.case for f in rep.failures] == ["per-step:countdown3.pcf"]
     assert rep.failures[0].detail.startswith("transition 1: costs differ")
-    assert rep.failures[0].terms[1] == sx.print_term(seen[1])
+    assert rep.failures[0].terms[1] == sx.print_term(traces[0].steps[0][1])
+
+
+def test_soundness_reads_one_trace_per_checked_program(monkeypatch):
+    """Every transition soundness checks comes from one `trace` of its
+    program; no transition is recomputed one `out` call at a time."""
+    calls = {"trace": 0, "out": 0}
+
+    def counting(name):
+        real = getattr(mc, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mc, name, spy)
+
+    counting("trace")
+    counting("out")
+    corpus = load_corpus()
+    rep = check_soundness(corpus, fuel=10_000)
+    assert rep.failures == ()
+    # The corpus's three arrow-typed programs are skipped.
+    assert (len(corpus), calls) == (25, {"trace": 22, "out": 0})
 
 
 def test_soundness_reports_a_wrong_machine_total(monkeypatch):

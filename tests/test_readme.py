@@ -1,0 +1,12 @@
+"""README.md: its `>>>` examples run as written."""
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run_as_written():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -340,7 +340,7 @@ _KEYWORDS = ("succ", "ret", "step", "bind", "ifz", "fix", "lam", "ap")
 
 # (source, monoid, msg, line, column, expected) of malformed inputs.  The
 # first 23 are pinned from the parser as it stood before its grammar became
-# one table.
+# one table; tests/test_cli.py pins their `typecheck` output.
 PARSE_ERRORS = [
     ("", "nat", "empty input", 1, 1, ("term",)),
     ("(ret", "nat", "unexpected end of input", 1, 5, ("term",)),
