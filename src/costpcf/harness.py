@@ -1,10 +1,10 @@
 """Differential and property-based validation of the metatheory.
 
-The harness generates well-typed terms type-directed, runs the machine and
-the denotational interpreter side by side, and checks the properties the two
-semantics must satisfy together: monad/cost-algebra laws, per-step and
-big-step soundness, cost adequacy, the sequencing laws, and cost
-noninterference.
+The harness generates well-typed terms type-directed from one weighted
+table of productions (`_GRAMMAR`), runs the machine and the denotational
+interpreter side by side, and checks the properties the two semantics must
+satisfy together: monad/cost-algebra laws, per-step and big-step soundness,
+cost adequacy, the sequencing laws, and cost noninterference.
 Every check is deterministic given (seed, fuel, monoid, phase).
 
 Terminating instances come from a countdown-combinator discipline: recursion
@@ -15,9 +15,12 @@ every input while still exercising fix, bind, application, and step charging.
 
 from __future__ import annotations
 
+import functools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 
 from . import denote as dn
 from . import machine as mc
@@ -89,15 +92,7 @@ STEP_COST_RANGE = (0, 5)
 _MASK = object()
 
 
-def _wchoice(rng, pairs):
-    total = sum(w for w, _ in pairs)
-    r = rng.random() * total
-    acc = 0.0
-    for w, item in pairs:
-        acc += w
-        if r < acc:
-            return item
-    return pairs[-1][1]
+_BASE_VALUES = {sx.Nat: sx.ZERO, sx.Unit: sx.TRIV, sx.Ans: sx.YES}
 
 
 class _Gen:
@@ -108,103 +103,74 @@ class _Gen:
     def cost(self):
         return self.cfg.monoid.sample(self.rng, *STEP_COST_RANGE)
 
-    def _vars_of(self, ctx, a):
-        return [i for i, t in enumerate(ctx) if t == a]
-
-    def pick_value_type(self, ctx, depth):
+    def pick_value_type(self, depth):
         if depth > 1 and self.rng.random() < 0.12:
             return sx.U(sx.F(self.rng.choice(_GROUND)))
         return self.rng.choice(_GROUND)
 
     def base_value(self, a):
-        if isinstance(a, sx.Nat):
-            return sx.ZERO
-        if isinstance(a, sx.Unit):
-            return sx.TRIV
-        if isinstance(a, sx.Ans):
-            return sx.YES
-        if isinstance(a, sx.U):
+        if type(a) is sx.U:
             return self.base_comp((), a.comp)
-        raise TypeError(f"no base value at {a!r}")
+        return _BASE_VALUES[type(a)]
 
     def base_comp(self, ctx, x):
-        if isinstance(x, sx.F):
+        if type(x) is sx.F:
             return sx.Ret(self.base_value(x.value))
         return sx.Lam(x.dom, self.base_comp((x.dom,) + ctx, x.cod))
 
     def value(self, ctx, a, depth):
-        vs = self._vars_of(ctx, a)
+        vs = [i for i, t in enumerate(ctx) if t == a]
         if vs and self.rng.random() < 0.35:
             return sx.Var(self.rng.choice(vs))
         if depth <= 0:
             return self.base_value(a)
-        if isinstance(a, sx.Ans):
+        ta = type(a)
+        if ta is sx.Ans:
             return self.rng.choice((sx.YES, sx.NO))
-        if isinstance(a, sx.Nat):
+        if ta is sx.Nat:
             if self.rng.random() < 0.75:
                 return sx.numeral(self.rng.randint(0, 4))
             return sx.Succ(self.value(ctx, a, depth - 1))
-        if isinstance(a, sx.Unit):
+        if ta is sx.Unit:
             return sx.TRIV
-        if isinstance(a, sx.U):
+        if ta is sx.U:
             return self.comp(ctx, a.comp, depth - 1)
         raise TypeError(f"no values at {a!r}")
 
     def comp(self, ctx, x, depth):
         if depth <= 0:
             return self.base_comp(ctx, x)
-        force_vars = self._vars_of(ctx, sx.U(x))
-        choices = []
-        if isinstance(x, sx.F):
-            choices.append((3.0, "ret"))
-            choices.append((2.0, "step"))
-            choices.append((2.0, "bind"))
-            choices.append((1.5, "ifz"))
-            if depth >= 2:
-                choices.append((1.5, "ap"))
-        else:
-            choices.append((5.0, "lam"))
-            choices.append((1.0, "step"))
-            if depth >= 2:
-                choices.append((1.0, "bind"))
-                choices.append((0.7, "ifz"))
-        if force_vars:
-            choices.append((1.5, "force"))
-        if depth >= 2:
-            choices.append((6.0 * self.cfg.fix_probability, "fix"))
-        kind = _wchoice(self.rng, choices)
-        if kind == "ret":
-            return sx.Ret(self.value(ctx, x.value, depth - 1))
-        if kind == "step":
-            return sx.Step(self.cost(), self.comp(ctx, x, depth - 1))
-        if kind == "bind":
-            b = self._bind_head_type(ctx, depth)
-            head = self.comp(ctx, sx.F(b), depth - 1)
-            cont = self.comp((b,) + ctx, x, depth - 1)
-            return sx.Bind(head, cont)
-        if kind == "ifz":
-            scrut = self.value(ctx, sx.NAT, depth - 1)
-            zcase = self.comp(ctx, x, depth - 1)
-            scase = self.comp((sx.NAT,) + ctx, x, depth - 1)
-            return sx.Ifz(scrut, zcase, scase)
-        if kind == "ap":
-            b = self.pick_value_type(ctx, depth)
-            fun = self.comp(ctx, sx.Arrow(b, x), depth - 1)
-            arg = self.value(ctx, b, depth - 1)
-            return sx.Ap(fun, arg)
-        if kind == "lam":
-            return sx.Lam(x.dom, self.comp((x.dom,) + ctx, x.cod, depth - 1))
-        if kind == "force":
-            return sx.Var(self.rng.choice(force_vars))
-        if kind == "fix":
-            return self.fix(ctx, x, depth)
-        raise AssertionError(kind)
+        forcible = any(type(t) is sx.U and t.comp == x for t in ctx)
+        cum, total, builders = _productions(type(x) is sx.F, depth >= 2, forcible,
+                                            self.cfg.fix_probability)
+        return builders[bisect_right(cum, self.rng.random() * total)](self, ctx, x, depth)
 
-    def _bind_head_type(self, ctx, depth):
-        thunked = [t.comp.value for t in ctx if isinstance(t, sx.U) and isinstance(t.comp, sx.F)]
-        if thunked and self.rng.random() < 0.4:
-            return self.rng.choice(thunked)
-        return self.pick_value_type(ctx, depth)
+    # The productions, each building a computation of type x at depth >= 1.
+
+    def ret(self, ctx, x, depth):
+        return sx.Ret(self.value(ctx, x.value, depth - 1))
+
+    def step(self, ctx, x, depth):
+        return sx.Step(self.cost(), self.comp(ctx, x, depth - 1))
+
+    def bind(self, ctx, x, depth):
+        b = self._bind_head_type(ctx, depth)
+        return sx.Bind(self.comp(ctx, sx.F(b), depth - 1), self.comp((b,) + ctx, x, depth - 1))
+
+    def ifz(self, ctx, x, depth):
+        return sx.Ifz(self.value(ctx, sx.NAT, depth - 1), self.comp(ctx, x, depth - 1),
+                      self.comp((sx.NAT,) + ctx, x, depth - 1))
+
+    def ap(self, ctx, x, depth):
+        b = self.pick_value_type(depth)
+        return sx.Ap(self.comp(ctx, sx.Arrow(b, x), depth - 1), self.value(ctx, b, depth - 1))
+
+    def lam(self, ctx, x, depth):
+        return sx.Lam(x.dom, self.comp((x.dom,) + ctx, x.cod, depth - 1))
+
+    def force(self, ctx, x, depth):
+        return sx.Var(self.rng.choice(
+            [i for i, t in enumerate(ctx) if type(t) is sx.U and t.comp == x]))
 
     def fix(self, ctx, x, depth):
         if self.cfg.terminating:
@@ -214,22 +180,55 @@ class _Gen:
             body = sx.Step(self.cost(), body)
         return sx.Fix(body)
 
+    def _bind_head_type(self, ctx, depth):
+        thunked = [t.comp.value for t in ctx if type(t) is sx.U and type(t.comp) is sx.F]
+        if thunked and self.rng.random() < 0.4:
+            return self.rng.choice(thunked)
+        return self.pick_value_type(depth)
+
     def countdown(self, ctx, x, depth):
         """fix applied to a numeral, recursing on the structural predecessor."""
         zctx = (sx.NAT, _MASK) + ctx
         zcase = self.comp(zctx, x, depth - 1)
         call = sx.Ap(sx.Var(2), sx.Var(0))
         scase = sx.Step(self.cost(), call) if self.rng.random() < 0.85 else call
-        if isinstance(x, sx.F) and self.rng.random() < 0.35:
+        if type(x) is sx.F and self.rng.random() < 0.35:
             cont_ctx = (x.value, sx.NAT, sx.NAT, _MASK) + ctx
             scase = sx.Bind(scase, self.comp(cont_ctx, x, depth - 1))
         fn = sx.Fix(sx.Lam(sx.NAT, sx.Ifz(sx.Var(0), zcase, scase)))
-        nat_vars = self._vars_of(ctx, sx.NAT)
+        nat_vars = [i for i, t in enumerate(ctx) if t == sx.NAT]
         if nat_vars and self.rng.random() < 0.2:
             arg = sx.Var(self.rng.choice(nat_vars))
         else:
             arg = sx.numeral(self.rng.randint(0, 4))
         return sx.Ap(fn, arg)
+
+
+# The grammar of computations at depth >= 1, per target shape (a returner
+# F a, or a function a -> X): (weight, needs depth >= 2, builder).
+_GRAMMAR = {
+    True: ((3.0, False, _Gen.ret), (2.0, False, _Gen.step), (2.0, False, _Gen.bind),
+           (1.5, False, _Gen.ifz), (1.5, True, _Gen.ap)),
+    False: ((5.0, False, _Gen.lam), (1.0, False, _Gen.step), (1.0, True, _Gen.bind),
+            (0.7, True, _Gen.ifz)),
+}
+
+
+@functools.cache
+def _productions(returner, deep, forcible, fix_probability):
+    """(cumulative weights, total, builders) of the rows `comp` draws from:
+    the shape's grammar rows the depth allows, then `force` when a context
+    variable is a thunk of the target, then `fix` at depth >= 2.  A draw
+    picks the first row whose cumulative weight exceeds it; `builders`
+    repeats the last row for a draw that rounding puts past them all."""
+    rows = [(w, build) for w, needs_deep, build in _GRAMMAR[returner] if deep or not needs_deep]
+    if forcible:
+        rows.append((1.5, _Gen.force))
+    if deep:
+        rows.append((6.0 * fix_probability, _Gen.fix))
+    builders = tuple(build for _, build in rows)
+    return (tuple(accumulate(w for w, _ in rows)), sum(w for w, _ in rows),
+            builders + builders[-1:])
 
 
 def gen_term(cfg: GenConfig, ctx=()):

@@ -350,9 +350,10 @@ def test_agreement_with_machine_on_simple_programs():
     for src in ("(ret triv)", "(step 4 (ret triv))",
                 "(bind (step 1 (ret triv)) u (step 2 (ret triv)))"):
         t = sx.parse(src)
-        m = mc.profile(t, 100)
+        m = mc.settle(t, 100)[0]
         d = observe(denote_closed(t).to_delay(), 100)
         assert isinstance(m, dn.Defined) and isinstance(d, dn.Defined)
+        assert m.value == sx.Ret(sx.TRIV)
         assert m.cost == d.cost
 
 

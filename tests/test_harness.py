@@ -78,13 +78,13 @@ def test_terminating_mode_terminates():
     programs = gen_programs(31337, 300, (F(UNIT), F(NAT), F(ANS)),
                             terminating_frac=1.0)
     for t, _ in programs:
-        assert mc.run(t, 50_000) is not None, sx.print_term(t)
+        assert isinstance(mc.settle(t, 50_000)[0], Defined), sx.print_term(t)
 
 
 def test_nonterminating_mode_produces_some_divergence():
     programs = gen_programs(420, 150, (F(UNIT),), terminating_frac=0.0,
                             fix_probability=0.6)
-    diverged = sum(1 for t, _ in programs if mc.run(t, 3000) is None)
+    diverged = sum(1 for t, _ in programs if not isinstance(mc.settle(t, 3000)[0], Defined))
     assert diverged >= 10  # plenty of genuine loops in the stream
 
 
@@ -94,10 +94,41 @@ def test_gen_programs_deterministic_batch():
     assert a == b
 
 
-def battery_digest(monkeypatch, seed):
+def gen_term_digest(monoid):
+    """sha256 over the printed `gen_term` output at every key of the
+    generator's production table: each target shape (returner, arrow and a
+    thunk value), depth 0-7, each fix probability, both modes, with and
+    without a context that holds a nat and forcible thunks."""
+    h = hashlib.sha256()
+    for target in TARGETS + (U(F(NAT)),):
+        comp = target.comp if isinstance(target, U) else target
+        for ctx in ((), (NAT, U(comp), U(F(UNIT)))):
+            for depth in range(8):
+                for fix_probability in (0.0, 0.25, 0.6):
+                    for terminating in (False, True):
+                        for seed in range(5):
+                            cfg = GenConfig(seed=seed, max_depth=depth, target=target,
+                                            fix_probability=fix_probability,
+                                            monoid=monoid, terminating=terminating)
+                            h.update(sx.print_term(gen_term(cfg, ctx)).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("monoid, digest", [
+    (DEFAULT_MODEL.monoid, "982bfbdde60c711dc8bf57b71993d145a59580cdc980d7bc6da9079fd8926fa4"),
+    (vector_monoid(2), "28730ef01bac5eca1a064ca48a071b08c05d8f0cd9328dcacd91c7b7cfe157d7"),
+], ids=["nat", "vec:2"])
+def test_gen_term_stream_is_pinned(monoid, digest):
+    """The generator's random stream: every rng draw in the same order with
+    the same arguments gives the same terms at every table key."""
+    assert gen_term_digest(monoid) == digest
+
+
+def battery_digest(monkeypatch, seed, model):
     """sha256 over the printed terms `check all --seed <seed> --cases 100
-    --fuel 5000` generates for its suites, in order, with the law name of
-    each sequencing instance; the suites themselves are not run."""
+    --fuel 5000` generates for its suites under `model`, in order, with the
+    law name of each sequencing instance; the suites themselves are not
+    run."""
     h = hashlib.sha256()
 
     def feed(label, terms):
@@ -128,19 +159,28 @@ def battery_digest(monkeypatch, seed):
     monkeypatch.setattr(hz, "check_adequacy", spy("adequacy", programs))
     monkeypatch.setattr(hz, "check_sequencing_laws", spy("sequencing", instances))
     monkeypatch.setattr(hz, "check_noninterference", spy("noninterference", ni))
-    run_suite("all", seed, 5000, DEFAULT_MODEL, cases=100)
+    run_suite("all", seed, 5000, model, cases=100)
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (1, "60d47d32fb17f02acff711af0f45c26c8d9c44699523b5493710f8a8a5c5bf40"),
-    (47, "47914e2a33f81858f3dd4471adc8ccccb3ff6d6a2dd4d3ed1308fe45ec2746f3"),
+# (seed, model, id label, digest); a nat row's id is "<seed>-<digest>".
+_BATTERY_PINS = [
+    (1, DEFAULT_MODEL, "", "60d47d32fb17f02acff711af0f45c26c8d9c44699523b5493710f8a8a5c5bf40"),
+    (47, DEFAULT_MODEL, "", "47914e2a33f81858f3dd4471adc8ccccb3ff6d6a2dd4d3ed1308fe45ec2746f3"),
+    (1, CostModel(vector_monoid(2)), "vec:2-",
+     "a19d8fa032a9684a5882710a63646b1b962919252e0ecd456868533c9a1c404d"),
+]
+
+
+@pytest.mark.parametrize("seed, model, digest", [
+    pytest.param(seed, model, digest, id=f"{seed}-{label}{digest}")
+    for seed, model, label, digest in _BATTERY_PINS
 ])
-def test_battery_generators_produce_pinned_terms(monkeypatch, seed, digest):
+def test_battery_generators_produce_pinned_terms(monkeypatch, seed, model, digest):
     """Every program, sequencing instance, function and argument pair the
     battery generates is pinned: a change to any rng draw shows here even
     when the suites' reports, which print only counts, stay the same."""
-    assert battery_digest(monkeypatch, seed) == digest
+    assert battery_digest(monkeypatch, seed, model) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +292,9 @@ def test_noninterference_suite_smoke():
     for f in fns:
         assert infer((), f).classification == Computation(Arrow(U(F(UNIT)), F(ANS)))
     for x, y in pairs:
-        assert isinstance(mc.profile(x, 20_000), mc.Defined)
-        assert isinstance(mc.profile(y, 20_000), mc.Defined)
+        for thunk in (x, y):
+            outcome = mc.settle(thunk, 20_000)[0]
+            assert isinstance(outcome, Defined) and outcome.value == Ret(sx.TRIV)
     rep = check_noninterference(fns, pairs, fuel=20_000)
     assert rep.cases == 80
     assert rep.failures == ()
