@@ -6,129 +6,35 @@ the harness checks that the two semantics agree.
 """
 
 from .cost import (
-    DEFAULT_MODEL,
-    NAT_MONOID,
-    STAR,
-    CostModel,
-    CostMonoid,
-    Phase,
-    get_monoid,
+    DEFAULT_MODEL, NAT_MONOID, STAR, CostModel, CostMonoid, Phase, get_monoid,
     vector_monoid,
 )
 # NB: the interpretation function itself stays module-qualified
 # (costpcf.denote.denote) so the submodule name is not shadowed.
 from .denote import (
-    Done,
-    Later,
-    bindT,
-    bottom,
-    charge,
-    denote_closed,
-    eta,
-    ground_json,
+    Done, Later, bindT, bottom, charge, denote_closed, eta, ground_json,
     observe,
 )
 from .machine import settle, trace
 from .outcome import Defined, Diverges, Exhausted
 from .syntax import (
-    ANS,
-    NAT,
-    TRIV,
-    UNIT,
-    YES,
-    ZERO,
-    Ans,
-    Ap,
-    Arrow,
-    Bind,
-    F,
-    Fix,
-    Ifz,
-    Lam,
-    Nat,
-    No,
-    ParseError,
-    Ret,
-    Step,
-    Succ,
-    Triv,
-    U,
-    Unit,
-    Var,
-    Yes,
-    Zero,
-    numeral,
-    parse,
-    parse_comp_type,
-    print_comp_type,
-    print_term,
-    print_value_type,
-    shift,
-    subst,
+    ANS, NAT, TRIV, UNIT, YES, ZERO, Ans, Ap, Arrow, Bind, F, Fix, Ifz, Lam,
+    Nat, No, ParseError, Ret, Step, Succ, Triv, U, Unit, Var, Yes, Zero,
+    numeral, parse, parse_comp_type, print_comp_type, print_term,
+    print_value_type, shift, subst,
 )
 from .typecheck import TypeCheckError, check_program, infer, show_type
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANS",
-    "DEFAULT_MODEL",
-    "NAT",
-    "NAT_MONOID",
-    "STAR",
-    "TRIV",
-    "UNIT",
-    "YES",
-    "ZERO",
-    "Ans",
-    "Ap",
-    "Arrow",
-    "Bind",
-    "CostModel",
-    "CostMonoid",
-    "Defined",
-    "Diverges",
-    "Done",
-    "Exhausted",
-    "F",
-    "Fix",
-    "Ifz",
-    "Lam",
-    "Later",
-    "Nat",
-    "No",
-    "ParseError",
-    "Phase",
-    "Ret",
-    "Step",
-    "Succ",
-    "Triv",
-    "TypeCheckError",
-    "U",
-    "Unit",
-    "Var",
-    "Yes",
-    "Zero",
-    "bindT",
-    "bottom",
-    "charge",
-    "check_program",
-    "denote_closed",
-    "eta",
-    "get_monoid",
-    "ground_json",
-    "infer",
-    "numeral",
-    "observe",
-    "parse",
-    "parse_comp_type",
-    "print_comp_type",
-    "print_term",
-    "print_value_type",
-    "settle",
-    "shift",
-    "show_type",
-    "subst",
-    "trace",
-    "vector_monoid",
+    "ANS", "DEFAULT_MODEL", "NAT", "NAT_MONOID", "STAR", "TRIV", "UNIT", "YES",
+    "ZERO", "Ans", "Ap", "Arrow", "Bind", "CostModel", "CostMonoid", "Defined",
+    "Diverges", "Done", "Exhausted", "F", "Fix", "Ifz", "Lam", "Later", "Nat",
+    "No", "ParseError", "Phase", "Ret", "Step", "Succ", "Triv",
+    "TypeCheckError", "U", "Unit", "Var", "Yes", "Zero", "bindT", "bottom",
+    "charge", "check_program", "denote_closed", "eta", "get_monoid",
+    "ground_json", "infer", "numeral", "observe", "parse", "parse_comp_type",
+    "print_comp_type", "print_term", "print_value_type", "settle", "shift",
+    "show_type", "subst", "trace", "vector_monoid",
 ]

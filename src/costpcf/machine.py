@@ -19,8 +19,10 @@ spine costs O(1) per step instead of O(depth).  The machine's two drivers
 call it: `settle` once for the whole run, `trace` one transition at a time.
 `run`, `eval_term` and `profile` are views over `settle`, and `out` is one
 transition of `trace`'s loop; they are kept only for the benchmark and the
-tests, and nothing else in the package calls them.  The substitution a head rule
-performs is not O(1): it rebuilds only the subterms that mention the bound
+tests, and nothing else in the package calls them.  A head rule whose body
+never mentions its binder (`_range` 0) substitutes nothing: the body itself,
+the object `subst` would return, is the next focus, with no memo lookup and
+no memo entry.  Any other substitution a head rule performs is not O(1): it rebuilds only the subterms that mention the bound
 index and shares the rest, and the replacement, always closed here, is
 shared rather than copied (see `syntax.subst`).  It is also done once per
 (body, replacement) pair of node objects: the runner memoises it by
@@ -44,6 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import syntax as sx
+from .syntax import Ap, Bind, Fix, Ifz, Lam, Ret, Step, Succ, Zero
 from .cost import DEFAULT_MODEL, CostModel
 from .outcome import DIVERGES, EXHAUSTED, Defined
 from .records import record
@@ -166,14 +169,14 @@ class _Runner:
         snapshot: list = []
         while used < fuel:
             kind = type(focus)
-            if kind is sx.Ap:
+            if kind is Ap:
                 fun = focus.fun
-                if type(fun) is not sx.Lam:
+                if type(fun) is not Lam:
                     push(("ap", focus.arg))
                     focus = fun
                     continue
                 body, arg = fun.body, focus.arg
-            elif kind is sx.Ret:
+            elif kind is Ret:
                 if not frames:
                     break
                 if frames[-1][0] != "bind":
@@ -181,21 +184,21 @@ class _Runner:
                 body, arg = pop()[1], focus.arg
                 if len(frames) < low:
                     low = len(frames)
-            elif kind is sx.Ifz:
+            elif kind is Ifz:
                 scrut = focus.scrut
-                if type(scrut) is sx.Zero:
+                if type(scrut) is Zero:
                     focus = focus.zcase
                     used += 1
                     continue
-                if type(scrut) is not sx.Succ:
+                if type(scrut) is not Succ:
                     raise StuckError(_plug(frames, focus))
                 body, arg = focus.scase, scrut.arg
-            elif kind is sx.Step:
+            elif kind is Step:
                 total = add(total, focus.cost)
                 focus = focus.body
                 used += 1
                 continue
-            elif kind is sx.Lam:
+            elif kind is Lam:
                 if not frames:
                     break
                 if frames[-1][0] != "ap":
@@ -203,7 +206,7 @@ class _Runner:
                 body, arg = focus.body, pop()[1]
                 if len(frames) < low:
                     low = len(frames)
-            elif kind is sx.Fix:
+            elif kind is Fix:
                 if watch:
                     if focus is mark and _repeats(frames, low, snapshot):
                         break
@@ -213,22 +216,24 @@ class _Runner:
                         snapshot = frames.copy()
                         low = len(frames)
                 body, arg = focus.body, focus
-            elif kind is sx.Bind:
+            elif kind is Bind:
                 head = focus.head
-                if type(head) is not sx.Ret:
+                if type(head) is not Ret:
                     push(("bind", focus.cont))
                     focus = head
                     continue
                 body, arg = focus.cont, head.arg
             else:
                 raise StuckError(_plug(frames, focus))  # not a computation
-            key = (id(body), id(arg))
-            hit = memo.get(key)
-            if hit is None:
-                if len(memo) >= SUBST_MEMO_CAP:
-                    memo.clear()
-                hit = memo[key] = (body, arg, sx.subst(body, arg))
-            focus = hit[2]
+            if body._range:
+                key = (id(body), id(arg))
+                hit = memo.get(key)
+                if hit is None:
+                    if len(memo) >= SUBST_MEMO_CAP:
+                        memo.clear()
+                    hit = memo[key] = (body, arg, sx.subst(body, arg))
+                body = hit[2]
+            focus = body
             used += 1
         self.focus = focus
         if used and total is zero:

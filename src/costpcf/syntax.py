@@ -239,39 +239,54 @@ def loose_range(t: Term) -> int:
     return t._range
 
 
-def _rebuild(t: Term, cutoff: int, at_var) -> Term:
-    """`t` with every free Var whose index is >= the cutoff replaced by
-    `at_var(index, cutoff)`, the cutoff rising by one under each binder.
-
-    A subterm with no such index (`loose_range` at most the cutoff) is
-    returned as is, so `_rebuild(t, c, f) is t` when `t` has no free index
-    >= c, and only the nodes above a replaced Var are rebuilt: every other
-    subtree of the result is shared with `t`.
-
-    The walker reads a node's range directly, and dispatches on exact node
-    type, most frequent first: no class subclasses a term node.
+def _rebuild(t: Term, cutoff: int, at_var, extra) -> Term:
+    """`t`, which has a free index >= the cutoff, with each such Var
+    replaced by `at_var(index, cutoff, extra)`, the cutoff rising by one
+    under each binder.  A child with no such index is shared as is, and
+    is checked before any call into it: only the nodes above a replaced Var
+    are rebuilt.  `at_var` is a module function and `extra` its data, so a
+    call builds no closure.  Dispatch is on exact node type, most frequent
+    first: no class subclasses a term node.
     """
-    if t._range <= cutoff:
-        return t
     kind = type(t)
     if kind is Var:
-        return at_var(t.index, cutoff)
+        return at_var(t.index, cutoff, extra)
     if kind is Ifz:
-        return Ifz(_rebuild(t.scrut, cutoff, at_var), _rebuild(t.zcase, cutoff, at_var),
-                   _rebuild(t.scase, cutoff + 1, at_var))
+        s, z, b = t.scrut, t.zcase, t.scase
+        return Ifz(s if s._range <= cutoff else _rebuild(s, cutoff, at_var, extra),
+                   z if z._range <= cutoff else _rebuild(z, cutoff, at_var, extra),
+                   b if b._range <= cutoff + 1 else _rebuild(b, cutoff + 1, at_var, extra))
     if kind is Ap:
-        return Ap(_rebuild(t.fun, cutoff, at_var), _rebuild(t.arg, cutoff, at_var))
+        f, a = t.fun, t.arg
+        return Ap(f if f._range <= cutoff else _rebuild(f, cutoff, at_var, extra),
+                  a if a._range <= cutoff else _rebuild(a, cutoff, at_var, extra))
     if kind is Step:
-        return Step(t.cost, _rebuild(t.body, cutoff, at_var))
+        return Step(t.cost, _rebuild(t.body, cutoff, at_var, extra))
     if kind is Bind:
-        return Bind(_rebuild(t.head, cutoff, at_var), _rebuild(t.cont, cutoff + 1, at_var))
+        h, b = t.head, t.cont
+        return Bind(h if h._range <= cutoff else _rebuild(h, cutoff, at_var, extra),
+                    b if b._range <= cutoff + 1 else _rebuild(b, cutoff + 1, at_var, extra))
     if kind is Lam:
-        return Lam(t.dom, _rebuild(t.body, cutoff + 1, at_var))
+        return Lam(t.dom, _rebuild(t.body, cutoff + 1, at_var, extra))
     if kind is Ret:
-        return Ret(_rebuild(t.arg, cutoff, at_var))
+        return Ret(_rebuild(t.arg, cutoff, at_var, extra))
     if kind is Succ:
-        return Succ(_rebuild(t.arg, cutoff, at_var))
-    return Fix(_rebuild(t.body, cutoff + 1, at_var))
+        return Succ(_rebuild(t.arg, cutoff, at_var, extra))
+    return Fix(_rebuild(t.body, cutoff + 1, at_var, extra))
+
+
+# The `at_var` of `shift`, of `subst` with a closed replacement and of
+# `subst` with an open one, whose `extra` is (replacement, eliminated index).
+def _shifted(index, _cutoff, by):
+    return Var(index + by)
+
+
+def _closed_hit(index, cutoff, replacement):
+    return replacement if index == cutoff else Var(index - 1)
+
+
+def _open_hit(index, cutoff, at):
+    return shift(at[0], cutoff - at[1]) if index == cutoff else Var(index - 1)
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -280,7 +295,7 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     Returns `t` itself when it has no such index (`loose_range(t) <= cutoff`);
     otherwise shares every subtree that has none (see `_rebuild`).
     """
-    return _rebuild(t, cutoff, lambda i, _cutoff: Var(i + by))
+    return t if t._range <= cutoff else _rebuild(t, cutoff, _shifted, by)
 
 
 def subst(t: Term, replacement: Term, index: int = 0) -> Term:
@@ -296,13 +311,11 @@ def subst(t: Term, replacement: Term, index: int = 0) -> Term:
     above it (see `_rebuild`).  A closed replacement (the only kind the
     machine substitutes) needs no shift, so every hit shares it as is.
     """
-    def at_var(i: int, cutoff: int) -> Term:
-        if i != cutoff:
-            return Var(i - 1)
-        return replacement if closed else shift(replacement, cutoff - index)
-
-    closed = loose_range(replacement) == 0
-    return _rebuild(t, index, at_var)
+    if t._range <= index:
+        return t
+    if replacement._range:
+        return _rebuild(t, index, _open_hit, (replacement, index))
+    return _rebuild(t, index, _closed_hit, replacement)
 
 
 # ---------------------------------------------------------------------------

@@ -446,26 +446,43 @@ SEQUENCING_LEFT_SIDES = {
     "comm-app-seq": lambda e, g, w: sx.Ap(sx.Bind(e, g), w),
 }
 
+# The side the check settles itself: g[v] where e settles to ret(v), or the
+# law's right side.
+SEQUENCING_CHECKED_SIDES = {
+    "eval-seq": lambda e, g: sx.subst(g, mc.settle(e, 20_000)[0].value.arg),
+    "prof-seq": lambda e, g: sx.subst(g, mc.settle(e, 20_000)[0].value.arg),
+    "prof-assoc": lambda e, g, i: sx.Bind(e, sx.Bind(g, sx.shift(i, 1, 1))),
+    "comm-app-seq": lambda e, g, w: sx.Bind(e, sx.Ap(g, sx.shift(w, 1))),
+}
+
 
 @pytest.mark.parametrize("fault", ["overcharge", "exhaust"])
 @pytest.mark.parametrize("law", list(SEQUENCING_LEFT_SIDES))
 def test_sequencing_reports_a_faulty_left_side(monkeypatch, law, fault):
-    """A machine that overcharges, or never settles, the left side of one
-    law fails exactly that law's cases."""
+    """A machine that overcharges the left side of one law, or never settles
+    the side the check settles itself, fails exactly that law's cases.
+
+    The check reads the left side's outcome from the generator's filter, so
+    the overcharging machine is in place while the instances are generated:
+    it keeps them Defined, so they are the same instances."""
     instances = gen_sequencing_instances(17, 3, 20_000)
-    left = {SEQUENCING_LEFT_SIDES[inst.law](*inst.parts)
-            for inst in instances if inst.law == law}
+    sides = SEQUENCING_LEFT_SIDES if fault == "overcharge" else SEQUENCING_CHECKED_SIDES
+    faulty = {sides[inst.law](*inst.parts) for inst in instances if inst.law == law}
     real_settle = mc.settle
 
     def faulty_settle(e, fuel, model=DEFAULT_MODEL):
         outcome, used = real_settle(e, fuel, model)
-        if e not in left:
+        if e not in faulty:
             return outcome, used
         if fault == "exhaust":
             return EXHAUSTED, fuel
         return Defined(model.add(outcome.cost, 1), outcome.value), used
 
     monkeypatch.setattr(mc, "settle", faulty_settle)
+    if fault == "overcharge":
+        regenerated = gen_sequencing_instances(17, 3, 20_000)
+        assert [i.parts for i in regenerated] == [i.parts for i in instances]
+        instances = regenerated
     rep = check_sequencing_laws(instances, fuel=100_000)
     expected = [f"{law}[{idx}]" for idx, inst in enumerate(instances) if inst.law == law]
     assert len(expected) == 3
@@ -473,14 +490,20 @@ def test_sequencing_reports_a_faulty_left_side(monkeypatch, law, fault):
     assert all(f.detail.startswith("sides settle to") for f in rep.failures)
 
 
-def test_sequencing_fails_a_law_whose_sides_both_do_not_settle(monkeypatch):
-    """Two sides that agree in not settling are no instance of the law."""
-    instances = gen_sequencing_instances(17, 2, 20_000)
-    monkeypatch.setattr(mc, "settle", lambda e, fuel, model=DEFAULT_MODEL: (EXHAUSTED, fuel))
-    rep = check_sequencing_laws(instances, fuel=100_000)
-    cases = [f"{inst.law}[{idx}]" for idx, inst in enumerate(instances)]
-    assert [f.case for f in rep.failures] == cases
-    assert rep.failures[0].detail == "sides settle to Exhausted and Exhausted"
+def test_sequencing_keeps_the_outcomes_a_fresh_settle_gives():
+    """Every outcome an instance keeps from the generator's filter is
+    Defined, and equals what the check's own, larger fuel settles the same
+    term to: e and bind(e, g), or the law's left side."""
+    instances = gen_sequencing_instances(17, 5, 20_000)
+    assert len(instances) == 20
+    for inst in instances:
+        e = inst.parts[0]
+        left = SEQUENCING_LEFT_SIDES[inst.law](*inst.parts)
+        terms = (e, left) if inst.law in ("eval-seq", "prof-seq") else (left,)
+        assert len(inst.settled) == len(terms)
+        for kept, t in zip(inst.settled, terms):
+            assert isinstance(kept, Defined)
+            assert kept == mc.settle(t, 100_000)[0]
 
 
 # ---------------------------------------------------------------------------

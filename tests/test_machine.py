@@ -398,12 +398,27 @@ def test_a_nearly_full_memo_can_delay_a_proof():
     that other runs have filled clears at this run's second substitution,
     dropping the first, so the next unfolding rebuilds the inner fix as a
     new node, not the marked one, and the proof comes too late for the
-    fuel."""
-    t = parse("(fix x (fix x1 (step 5 x)))")
-    assert settle(t, 7) == (DIVERGES, 4)
+    fuel.  Both fixes use their binder, so both unfoldings substitute; the
+    `ifz` takes its zero branch, which substitutes nothing."""
+    t = parse("(fix x (fix x1 (step 5 (ifz zero x p x1))))")
+    assert settle(t, 7) == (DIVERGES, 5)
     with mc.sharing():
         fill_shared_memo(headroom=1)
         assert settle(t, 7) == (EXHAUSTED, 7)
+
+
+def test_a_beta_step_on_an_unused_binder_substitutes_nothing():
+    """A body that never mentions its binder is the focus after the step,
+    the identical object, as `subst` would return it; the step costs zero
+    and leaves the shared memo without an entry.  A used binder adds one."""
+    body = parse("(step 3 (ret zero))")
+    with mc.sharing():
+        runner = mc._Runner(Ap(Lam(NAT, body), ZERO), DEFAULT_MODEL)
+        assert runner.advance(1) == (0, 1)
+        assert runner.focus is body and runner.memo == {}
+        runner = mc._Runner(parse("(ap (lam nat x (ret x)) zero)"), DEFAULT_MODEL)
+        assert runner.advance(1) == (0, 1)
+        assert runner.focus == Ret(ZERO) and len(runner.memo) == 1
 
 
 def check_matches_plain_steps():

@@ -176,14 +176,36 @@ def fresh_copy(t):
     return type(t)(*(fresh_copy(getattr(t, f.name)) for f in dataclasses.fields(t)))
 
 
+def assert_shares_untouched_subtrees(t, out, r, k):
+    """Walk `out = subst(t, r, k)` beside `t`: each subtree of `t` that
+    mentions no index >= k (counted from outside `t`) is in `out` as the
+    identical object, and so is a closed `r` at each hit."""
+    if loose_range(t) <= k:
+        assert out is t
+    elif isinstance(t, Var):
+        if t.index == k and not loose_range(r):
+            assert out is r
+    else:
+        assert type(out) is type(t)
+        for f in dataclasses.fields(t):
+            a, b = getattr(t, f.name), getattr(out, f.name)
+            if isinstance(a, sx._Node):
+                binds = f.name in ("cont", "scase") or isinstance(t, (Fix, Lam))
+                assert_shares_untouched_subtrees(a, b, r, k + binds)
+
+
 def test_subst_matches_named_oracle():
     rng = random.Random(20260814)
-    for _ in range(200):
+    closed_above_zero = 0
+    for case in range(200):
         n = rng.randint(1, 4)
         t = random_term(rng, n, rng.randint(1, 6))
         k = rng.randrange(n)
-        r = random_term(rng, n - 1, rng.randint(0, 3))
-        # replacement lives in the context with slot k removed
+        # replacement lives in the context with slot k removed; every other
+        # case it is closed, as the machine's always is
+        closed = case % 2
+        r = random_term(rng, 0 if closed else n - 1, rng.randint(0, 3))
+        closed_above_zero += closed and k > 0
         full = [f"g{i}" for i in range(n)]
         smaller = full[:k] + full[k + 1:]
         expect = from_named(
@@ -192,7 +214,10 @@ def test_subst_matches_named_oracle():
         )
         # cold caches, then the same objects with warm caches, then a fresh copy
         for tt, rr in ((t, r), (t, r), (fresh_copy(t), fresh_copy(r))):
-            assert subst(tt, rr, k) == expect, print_term(t, n)
+            out = subst(tt, rr, k)
+            assert out == expect, print_term(t, n)
+            assert_shares_untouched_subtrees(tt, out, rr, k)
+    assert closed_above_zero >= 30
 
 
 def test_shift_matches_named_oracle():
