@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user error (bad flags, unreadable/ill-typed input,
-input nested too deep for the Python stack), 2 check/adequacy failure,
-3 internal error.  All machine-facing output is
-single-line compact JSON so repeated runs are byte-comparable; --pretty
-switches the single-file commands to a short human-readable line.
+Exit codes: 0 success, 1 user error (bad flags, unreadable, non-UTF-8 or
+ill-typed input, input nested too deep for the Python stack), 2 check/adequacy
+failure, 3 internal error.  All machine-facing output is single-line compact
+JSON so repeated runs are byte-comparable; --pretty switches the single-file
+commands to a short human-readable line.
 
 `profile`, `denote` and `adequacy` report each outcome by its status:
 "defined", "diverges" when the run is proved to repeat forever, or
@@ -48,8 +48,11 @@ def _resolve_model(monoid, phase):
 
 
 def _load(path, model):
-    with open(path, encoding="utf-8", newline="") as fh:
-        src = fh.read()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            src = fh.read()
+    except UnicodeDecodeError as e:
+        raise click.FileError(path, hint=f"not UTF-8 ({e.reason} at byte {e.start})")
     return sx.parse(src, model.monoid)
 
 

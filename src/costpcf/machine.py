@@ -22,22 +22,22 @@ transition of `trace`'s loop; they are kept only for the benchmark and the
 tests, and nothing else in the package calls them.  A head rule whose body
 never mentions its binder (`_range` 0) substitutes nothing: the body itself,
 the object `subst` would return, is the next focus, with no memo lookup and
-no memo entry.  Any other substitution a head rule performs is not O(1): it rebuilds only the subterms that mention the bound
-index and shares the rest, and the replacement, always closed here, is
-shared rather than copied (see `syntax.subst`).  It is also done once per
-(body, replacement) pair of node objects: the runner memoises it by
-identity, so a fix unfolding or a numeral substituted into the same body
-again returns the earlier result, the identical object.  The memo holds at
-most SUBST_MEMO_CAP entries.  Each run, and each `out` call, has a fresh
-memo of its own, except inside a `sharing()` scope, where every runner uses
-the scope's one memo: the harness opens one per named suite, whose runs redo
-each other's substitutions.  The memo is never process-wide: which nodes it
-holds decides the step at which `settle` proves a repeat, and so whether it
-does within its fuel, and a suite's answers must not depend on what ran
-before it.  One fuel unit is one fired head rule, hit or miss.  Costs add
-left to right, in the order the `step`s fire.  `settle` stops early and
-answers Diverges once it proves that a fix unfolding repeats forever;
-`trace` and `out` never do.
+no memo entry.  Any other substitution a head rule performs is not O(1): it
+rebuilds only the subterms that mention the bound index and shares the rest,
+and the replacement, always closed here, is shared rather than copied (see
+`syntax.subst`).  It is also done once per (body, replacement) pair of node
+objects: the runner memoises it by identity, so a fix unfolding or a numeral
+substituted into the same body again returns the earlier result, the
+identical object.  The memo holds at most SUBST_MEMO_CAP entries.  Each run,
+and each `out` call, has a fresh memo of its own, except inside a `sharing()`
+scope, where every runner uses the scope's one memo: the harness opens one
+per named suite, whose runs redo each other's substitutions.  The memo is
+never process-wide: which nodes it holds decides the step at which `settle`
+proves a repeat, and so whether it does within its fuel, and a suite's
+answers must not depend on what ran before it.  One fuel unit is one fired
+head rule, hit or miss.  Costs add left to right, in the order the `step`s
+fire.  `settle` stops early and answers Diverges once it proves that a fix
+unfolding repeats forever; `trace` and `out` never do.
 """
 
 from __future__ import annotations

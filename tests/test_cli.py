@@ -443,10 +443,20 @@ def test_check_rejects_bad_cases(capsys):
 # ---------------------------------------------------------------------------
 # Shared flags and error mapping
 
-def test_missing_file_is_user_error(capsys):
-    rc, _, err = run_main(capsys, "profile", "/nonexistent/x.pcf")
+UNREADABLE_CASES = [(kind, command) for kind in ("missing", "not-utf8")
+                    for command in FILE_COMMANDS]
+
+
+@pytest.mark.parametrize("kind, command", UNREADABLE_CASES,
+                         ids=[f"{kind}-{command}" for kind, command in UNREADABLE_CASES])
+def test_unreadable_file_is_user_error(capsys, tmp_path, kind, command):
+    path = tmp_path / "x.pcf"
+    if kind == "not-utf8":
+        path.write_bytes(b"(ret \xff)")
+    rc, out, err = run_main(capsys, command, str(path))
     assert rc == 1
-    assert err
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_fuel_validation(capsys, pcf):
