@@ -14,7 +14,9 @@ A computation of function type denotes a `FunComp`, and the algebra at a
 function type is pointwise: applying a `_Charge` or `_Seq` node pushes the
 argument inside it.  Every computation has `to_delay` (the delay itself, or
 a guard's Later) and `apply`; well-typedness guarantees each is only used
-in the mode its type supports, and the other raises TypeError.
+in the mode its type supports, and the other raises TypeError.  A thunk
+denotes its own computation, [[U X]] = [[X]]: a computation in value
+position is its own value, and a forced variable is read as it is.
 
 Fixed points unfold lazily: each re-entry into a `fix` body goes through a
 guard that costs exactly one Later, making every denotation productive and
@@ -65,12 +67,6 @@ class VNum:
     # Weakly referable, so a test can check that no guard keeps one alive.
     __slots__ = ("n", "__weakref__")
     n: int
-
-
-@record
-class VThunk:
-    __slots__ = ("comp",)
-    comp: object  # a computation: a delay node, FunComp or GuardComp
 
 
 TRIV = VTriv()
@@ -301,12 +297,12 @@ class GuardComp:
 # nodes still to compile, indices, costs and closed numerals.  It never
 # captures an environment, a model, or a value or computation built at run
 # time, so it can be shared by every denotation of its node.  A child that may
-# never run is compiled on first entry, through the node's cache; value
-# positions compile through `_value_code` into closures that only their
-# parent holds.  Dispatch is on exact node type, most frequent first, as in
-# `unwind`: no class subclasses a term node.  Each child is fetched as
-# `c._code or _compile(c)`, inline, so compiling a chain takes one stack
-# frame per node.
+# never run is compiled on first entry, through the node's cache; a value
+# position compiles through `_value_code` to a closure that only its parent
+# holds, or to a computation's own cached closure.  Dispatch is on exact node
+# type, most frequent first, as in `unwind`: no class subclasses a term node.
+# Each child is fetched as `c._code or _compile(c)`, inline, so compiling a
+# chain takes one stack frame per node.
 
 def _compile(t):
     """The closure of computation node `t`, compiled and cached on `t`.  A
@@ -350,7 +346,7 @@ def _compile(t):
         i = t.index
 
         def code(env, model):
-            return env[i].comp
+            return env[i]
     elif tp is sx.Step:
         cost = t.cost
         body = t.body
@@ -363,7 +359,7 @@ def _compile(t):
 
         def code(env, model):
             holder = [None]
-            rec = VThunk(GuardComp(lambda: holder[0]))
+            rec = GuardComp(lambda: holder[0])
             holder[0] = (body._code or _compile(body))((rec,) + env, model)
             return holder[0]
     else:
@@ -401,9 +397,8 @@ def _value_code(t):
         return lambda env, model: V_YES
     if tp is sx.No:
         return lambda env, model: V_NO
-    # A computation in value position is its own thunk.
-    comp = t._code or _compile(t)
-    return lambda env, model: VThunk(comp(env, model))
+    # A computation in value position is its own thunk: [[U X]] = [[X]].
+    return t._code or _compile(t)
 
 
 def denote(ctx, t, env, model: CostModel = DEFAULT_MODEL):

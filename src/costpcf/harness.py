@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import accumulate
 
@@ -41,12 +41,7 @@ class Failure:
     fuel: int
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "terms": list(self.terms),
-            "detail": self.detail,
-            "fuel": self.fuel,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -551,15 +546,19 @@ def adequacy_verdict(e, fuel, model):
 class SequencingInstance:
     law: str  # eval-seq | prof-seq | prof-assoc | comm-app-seq
     parts: tuple
-    settled: tuple  # the Defined outcomes the filter settled; see `_sequencing_sides`
+    lhs: Defined  # the left side's outcome, which the generator's filter settled
+    rhs: sx.Term  # the right side, which the check settles
+    cost: object  # eval-seq and prof-seq: e's cost, charged onto rhs's outcome; else None
 
 
 def gen_sequencing_instances(seed, cases_per_law, fuel, model: CostModel = DEFAULT_MODEL):
     """Generate terminating instances of each law: up to cases_per_law per
     law, fewer when cases_per_law * 30 attempts do not find that many.
 
-    Each instance keeps the `Defined` outcomes its filter settled at `fuel`,
-    which the check reads instead of settling the same terms again."""
+    eval-seq and prof-seq: bind(e, g) against g[v], where e settles to
+    ret(v).  prof-assoc: the two nestings of bind.  comm-app-seq:
+    ap(bind(e, g), w) against bind(e, ap(g, w)).  An instance is kept when
+    its left side (and e) settles at `fuel`, and so at any larger fuel."""
     rng = random.Random(seed)
     monoid = model.monoid
     instances = []
@@ -567,14 +566,10 @@ def gen_sequencing_instances(seed, cases_per_law, fuel, model: CostModel = DEFAU
     def tgen(target, ctx=()):
         return _gen_terminating(rng, target, (2, 4), monoid, ctx)
 
-    def settled(*terms):
-        """The terms' outcomes, or None at the first that does not settle."""
-        outcomes = []
-        for t in terms:
-            outcomes.append(mc.settle(t, fuel, model)[0])
-            if not isinstance(outcomes[-1], Defined):
-                return None
-        return tuple(outcomes)
+    def settled(t):
+        """t's outcome if it settles, else None."""
+        outcome = mc.settle(t, fuel, model)[0]
+        return outcome if isinstance(outcome, Defined) else None
 
     ground = list(_GROUND)
     for law in ("eval-seq", "prof-seq", "prof-assoc", "comm-app-seq"):
@@ -585,64 +580,47 @@ def gen_sequencing_instances(seed, cases_per_law, fuel, model: CostModel = DEFAU
             a = ground[rng.randrange(3)]
             b = ground[rng.randrange(3)]
             e = tgen(sx.F(a))
+            cost = None
             if law in ("eval-seq", "prof-seq"):
                 g = tgen(sx.F(b if law == "eval-seq" else sx.UNIT), ctx=(a,))
-                outcomes = settled(e, sx.Bind(e, g))
                 parts = (e, g)
+                first = settled(e)
+                if not (first and (lhs := settled(sx.Bind(e, g)))):
+                    continue
+                cost, rhs = first.cost, sx.subst(g, first.value.arg)
             elif law == "prof-assoc":
                 g = tgen(sx.F(b), ctx=(a,))
                 i = tgen(sx.F(sx.UNIT), ctx=(b,))
-                outcomes = settled(sx.Bind(sx.Bind(e, g), i))
                 parts = (e, g, i)
+                if not (lhs := settled(sx.Bind(sx.Bind(e, g), i))):
+                    continue
+                rhs = sx.Bind(e, sx.Bind(g, sx.shift(i, 1, 1)))
             else:
                 g = tgen(sx.Arrow(b, sx.F(sx.UNIT)), ctx=(a,))
                 w = gen_term(GenConfig(seed=rng.randrange(2**62), max_depth=2, target=b,
                                        monoid=monoid, terminating=True))
-                outcomes = settled(sx.Ap(sx.Bind(e, g), w))
                 parts = (e, g, w)
-            if outcomes is None:
-                continue
-            instances.append(SequencingInstance(law, parts, outcomes))
+                if not (lhs := settled(sx.Ap(sx.Bind(e, g), w))):
+                    continue
+                rhs = sx.Bind(e, sx.Ap(g, sx.shift(w, 1)))
+            instances.append(SequencingInstance(law, parts, lhs, rhs, cost))
             made += 1
     return instances
 
 
-def _sequencing_sides(inst, fuel, model):
-    """The machine outcomes of the two sides of inst's law.
-
-    eval-seq and prof-seq: bind(e, g) against e's cost charged onto the
-    outcome of g[v], where e settles to ret(v).  prof-assoc: the two
-    nestings of bind.  comm-app-seq: ap(bind(e, g), w) against
-    bind(e, ap(g, w)).  The outcomes of e, bind(e, g) and each law's left
-    side are the ones `gen_sequencing_instances` kept: a `Defined` outcome
-    at its fuel, never above this one, is the same at this fuel.  Only the
-    other side is settled here."""
-    def settle(t):
-        return mc.settle(t, fuel, model)[0]
-
-    if inst.law in ("eval-seq", "prof-seq"):
-        first, whole = inst.settled
-        g = inst.parts[1]
-        return whole, _charged(first.cost, settle(sx.subst(g, first.value.arg)), model)
-    lhs, = inst.settled
-    if inst.law == "prof-assoc":
-        e, g, i = inst.parts
-        return lhs, settle(sx.Bind(e, sx.Bind(g, sx.shift(i, 1, 1))))
-    e, g, w = inst.parts
-    return lhs, settle(sx.Bind(e, sx.Ap(g, sx.shift(w, 1))))
-
-
 def check_sequencing_laws(instances, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
-    """Each law's right side settles on the machine, and agrees by
-    `disagreement` in cost and terminal with its left side, which the
-    generator's filter settled (see `_sequencing_sides`)."""
+    """Each law's right side settles on the machine, is charged with the
+    instance's cost if it has one, and agrees by `disagreement` in cost and
+    terminal with its left side's outcome."""
     failures = []
     for idx, inst in enumerate(instances):
-        lhs, rhs = _sequencing_sides(inst, fuel, model)
-        if disagreement(lhs, rhs, model):
+        rhs = mc.settle(inst.rhs, fuel, model)[0]
+        if inst.cost is not None:
+            rhs = _charged(inst.cost, rhs, model)
+        if disagreement(inst.lhs, rhs, model):
             failures.append(Failure(
                 f"{inst.law}[{idx}]", tuple(sx.print_term(t) for t in inst.parts),
-                f"sides settle to {lhs!r} and {rhs!r}", fuel))
+                f"sides settle to {inst.lhs!r} and {rhs!r}", fuel))
     return CheckReport("sequencing", len(instances), tuple(failures))
 
 

@@ -508,7 +508,10 @@ def _parse_term(source: str, toks: list, i: int, monoid):
         term = _ATOMS.get(text)
         if term is None:
             if text.isdecimal():
-                term = numeral(int(text))
+                try:
+                    term = numeral(int(text))
+                except ValueError as exc:  # past the interpreter's digit limit
+                    raise _error(source, toks, i - 1, str(exc)) from None
             elif depths := levels.get(text):
                 term = Var(len(names) - 1 - depths[-1])
             elif _is_name(text):

@@ -133,6 +133,16 @@ def test_file_commands_report_user_errors_as_one_json_line(capsys, pcf, argv, sr
     assert json.loads(out)["error"] == error
 
 
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_a_numeral_past_the_int_digit_limit_is_a_parse_error(capsys, pcf, command):
+    """`int` refuses a string of more than 4,300 digits; that is the user's
+    error at the numeral, not an internal one."""
+    rc, out, err = run_main(capsys, command, pcf("(ret " + "1" * 4301 + ")"))
+    assert (rc, err) == (1, "")
+    blob = json.loads(out)
+    assert (blob["error"], blob["line"], blob["column"]) == ("parse", 1, 6)
+
+
 def test_deep_step_chain_parses_and_the_type_checker_refuses_it(capsys, pcf):
     from test_syntax import DEEP_STEP_CHAIN
 

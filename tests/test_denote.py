@@ -18,7 +18,7 @@ import costpcf.machine as mc
 import costpcf.syntax as sx
 from costpcf.cost import DEFAULT_MODEL, STAR, CostModel, Phase, vector_monoid
 from costpcf.denote import (
-    DIVERGES, Done, EXHAUSTED, FunComp, Later, VBool, VNum, VThunk, VTriv,
+    DIVERGES, Done, EXHAUSTED, FunComp, Later, VBool, VNum, VTriv,
     bindT, bottom, charge, denote, denote_closed, eta, ground_json,
     laters_needed, observe, unwind,
 )
@@ -277,8 +277,17 @@ def test_thunks_are_first_class():
     # a thunk argument forced in computation position
     prog = sx.parse("(lam (U (F nat)) x (bind x n (ret (succ n))))")
     f = denote_closed(prog)
-    arg = VThunk(denote_closed(sx.parse("(step 2 (ret 6))")))
+    arg = denote_closed(sx.parse("(step 2 (ret 6))"))
     assert observe(f.apply(arg).to_delay(), 10) == dn.Defined(2, VNum(7))
+
+
+def test_a_thunk_denotes_its_own_computation():
+    """[[U X]] = [[X]]: a returned function is its FunComp, and a forced
+    variable is its environment entry itself."""
+    answer = observe(denote_closed(sx.parse("(ret (lam nat x (ret x)))")), 1)
+    assert isinstance(answer.value, FunComp)
+    d = denote_closed(sx.parse("(step 2 (ret 6))"))
+    assert denote((sx.U(sx.F(sx.NAT)),), sx.Var(0), [d]) is d
 
 
 def test_fix_unfolds_one_later_per_reentry():
@@ -380,7 +389,7 @@ def test_ground_json_forms():
     assert ground_json(dn.V_YES) == "yes"
     assert ground_json(dn.V_NO) == "no"
     assert ground_json(dn.TRIV) == "triv"
-    assert ground_json(VThunk(denote_closed(sx.parse("(ret triv)")))) is None
+    assert ground_json(denote_closed(sx.parse("(ret triv)"))) is None
 
 
 def test_semantic_value_equality_is_structural_at_ground():

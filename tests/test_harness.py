@@ -490,20 +490,20 @@ def test_sequencing_reports_a_faulty_left_side(monkeypatch, law, fault):
     assert all(f.detail.startswith("sides settle to") for f in rep.failures)
 
 
-def test_sequencing_keeps_the_outcomes_a_fresh_settle_gives():
-    """Every outcome an instance keeps from the generator's filter is
-    Defined, and equals what the check's own, larger fuel settles the same
-    term to: e and bind(e, g), or the law's left side."""
+def test_sequencing_instances_hold_both_sides_of_their_law():
+    """Each instance keeps its left side's Defined outcome, the same as the
+    check's own, larger fuel settles it to, and its right side's term; for
+    eval-seq and prof-seq, e's cost, which the check charges onto it."""
     instances = gen_sequencing_instances(17, 5, 20_000)
     assert len(instances) == 20
     for inst in instances:
-        e = inst.parts[0]
-        left = SEQUENCING_LEFT_SIDES[inst.law](*inst.parts)
-        terms = (e, left) if inst.law in ("eval-seq", "prof-seq") else (left,)
-        assert len(inst.settled) == len(terms)
-        for kept, t in zip(inst.settled, terms):
-            assert isinstance(kept, Defined)
-            assert kept == mc.settle(t, 100_000)[0]
+        assert isinstance(inst.lhs, Defined)
+        assert inst.lhs == mc.settle(SEQUENCING_LEFT_SIDES[inst.law](*inst.parts), 100_000)[0]
+        assert inst.rhs == SEQUENCING_CHECKED_SIDES[inst.law](*inst.parts)
+        if inst.law in ("eval-seq", "prof-seq"):
+            assert inst.cost == mc.settle(inst.parts[0], 100_000)[0].cost
+        else:
+            assert inst.cost is None
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +545,7 @@ def test_agreement_rule(o1, o2, retry, agree):
     ("triv", dn.TRIV, None), ("yes", dn.V_YES, None), ("no", dn.V_NO, None),
     ("0", dn.VNum(0), None), ("7", dn.VNum(7), None),
     ("yes", dn.V_NO, "values differ: 'yes' vs 'no'"), ("6", dn.VNum(7), "values differ: 6 vs 7"),
-    ("(ret 3)", dn.VThunk(dn.denote_closed(sx.parse("(ret 3)"))), None),
+    ("(ret 3)", dn.denote_closed(sx.parse("(ret 3)")), None),
 ])
 def test_disagreement_reads_each_answer_as_ground_data(terminal, value, why):
     """Each semantics reads its own answer; thunks compare on cost only."""

@@ -35,7 +35,6 @@ FIELDS = {
     dn._Charge: ("cost", "inner"),
     dn._Seq: ("head", "cont"),
     dn.VNum: ("n",),
-    dn.VThunk: ("comp",),
     dn.VBool: ("flag",),
     oc.Defined: ("cost", "value"),
     mc.Next: ("cost", "term"),
