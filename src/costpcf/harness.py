@@ -70,7 +70,6 @@ class GenConfig:
     seed: int
     max_depth: int = 5
     target: object = field(default_factory=lambda: sx.F(sx.UNIT))
-    fix_probability: float = 0.25
     monoid: object = NAT_MONOID
     terminating: bool = False
 
@@ -136,8 +135,7 @@ class _Gen:
         if depth <= 0:
             return self.base_comp(ctx, x)
         forcible = any(type(t) is sx.U and t.comp == x for t in ctx)
-        cum, total, builders = _productions(type(x) is sx.F, depth >= 2, forcible,
-                                            self.cfg.fix_probability)
+        cum, total, builders = _productions(type(x) is sx.F, depth >= 2, forcible)
         return builders[bisect_right(cum, self.rng.random() * total)](self, ctx, x, depth)
 
     # The productions, each building a computation of type x at depth >= 1.
@@ -210,7 +208,7 @@ _GRAMMAR = {
 
 
 @functools.cache
-def _productions(returner, deep, forcible, fix_probability):
+def _productions(returner, deep, forcible):
     """(cumulative weights, total, builders) of the rows `comp` draws from:
     the shape's grammar rows the depth allows, then `force` when a context
     variable is a thunk of the target, then `fix` at depth >= 2.  A draw
@@ -220,7 +218,7 @@ def _productions(returner, deep, forcible, fix_probability):
     if forcible:
         rows.append((1.5, _Gen.force))
     if deep:
-        rows.append((6.0 * fix_probability, _Gen.fix))
+        rows.append((1.5, _Gen.fix))
     builders = tuple(build for _, build in rows)
     return (tuple(accumulate(w for w, _ in rows)), sum(w for w, _ in rows),
             builders + builders[-1:])
@@ -244,7 +242,7 @@ def _gen_terminating(rng, target, depth_range, monoid, ctx=()):
 
 
 def gen_programs(seed, count, targets, terminating_frac, monoid=NAT_MONOID,
-                 depth_range=(3, 6), fix_probability=0.25):
+                 depth_range=(3, 6)):
     """A deterministic batch of generated programs (term, target) pairs."""
     rng = random.Random(seed)
     out = []
@@ -254,7 +252,6 @@ def gen_programs(seed, count, targets, terminating_frac, monoid=NAT_MONOID,
             seed=rng.randrange(2**62),
             max_depth=rng.randint(*depth_range),
             target=target,
-            fix_probability=fix_probability,
             monoid=monoid,
             terminating=rng.random() < terminating_frac,
         )
@@ -457,32 +454,29 @@ def _ground_f_type(t, model):
 
 
 def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
-    """Per transition e -> (c, e'): [[e]] = c (+) [[e']].  Per terminating
-    program with terminal ret(v): [[e]] is Defined with the machine's cost
-    and the answer v (compared as ground data, see `disagreement`).
-
-    Per program that does not settle: the machine and [[e]] both diverge
-    or run out of fuel.  Both checks use the one agreement rule.
+    """Per transition e -> (c, e'): [[e]] = c (+) [[e']], by the one
+    agreement rule.  Per program, big-step: `adequacy_verdict`, the machine
+    outcome against [[e]] in definedness, exact cost and value.
 
     The transitions come from one `mc.trace` of the program: terminating
     programs get every transition checked; divergent ones are capped at
     DIVERGENT_STEP_CAP transitions (their transition graphs are cyclic
-    modulo substitution, so a small prefix already covers each rule).  Each
-    [[e_k]] along the run is observed once and shared by the two
-    transitions it borders.  `programs` is a list of (name, term) pairs;
-    only those of a ground returner type are checked, the others are
-    skipped (they still count in `cases`).
+    modulo substitution, so a small prefix already covers each rule).  The
+    chain starts from the verdict's observation of [[e]], and each [[e_k]]
+    along the run is observed once and shared by the two transitions it
+    borders.  `programs` is a list of (name, term) pairs; only those of a
+    ground returner type are checked, the others are skipped (they still
+    count in `cases`).
     """
     failures = []
     for name, e in programs:
         if _ground_f_type(e, model) is None:
             continue
-        machine, used = mc.settle(e, fuel, model)
-        cap = used if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
+        verdict, machine, o_lhs, machine_fuel = adequacy_verdict(e, fuel, model)
+        cap = machine_fuel if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
 
         # Prop: one transition preserves the denotation up to charging.
-        whole = lhs = dn.denote_closed(e, model).to_delay()
-        obs = o_lhs = dn.observe(lhs, fuel, model)
+        lhs = dn.denote_closed(e, model).to_delay()
         steps = mc.trace(e, cap, model).steps
         for stepno, (cost, term) in enumerate(steps):
             nxt = dn.denote_closed(term, model).to_delay()
@@ -500,10 +494,8 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
             lhs, o_lhs = nxt, o_nxt
 
         # Thm: machine evaluation is reflected exactly in the denotation.
-        why = agreement(obs, machine, lambda f: dn.observe(whole, f, model),
-                        lambda f: mc.settle(e, f, model)[0], fuel, model)[0]
-        if why:
-            failures.append(Failure(f"big-step:{name}", (sx.print_term(e),), why, fuel))
+        if verdict:
+            failures.append(Failure(f"big-step:{name}", (sx.print_term(e),), verdict, fuel))
     return CheckReport("soundness", len(programs), tuple(failures))
 
 
@@ -524,7 +516,8 @@ def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRep
 
 def adequacy_verdict(e, fuel, model):
     """(detail, machine outcome, denotation outcome, the machine's fuel) of
-    the runs decided on; detail is None when they agree."""
+    the runs decided on, machine first; detail is None when they agree.
+    Adequacy and soundness's big-step check both read this one verdict."""
     delay = dn.denote_closed(e, model).to_delay()
     fuels = []
 

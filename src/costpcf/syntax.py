@@ -507,7 +507,7 @@ def _parse_term(source: str, toks: list, i: int, monoid):
             continue
         term = _ATOMS.get(text)
         if term is None:
-            if text.isdecimal():
+            if text.isascii() and text.isdecimal():
                 try:
                     term = numeral(int(text))
                 except ValueError as exc:  # past the interpreter's digit limit

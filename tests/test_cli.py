@@ -237,17 +237,13 @@ def test_denote_of_a_thunk_shows_no_value(capsys, pcf):
     assert out == "defined, cost 0\n"
 
 
-# A program no run can prove divergent: it counts up forever.
-COUNT_UP = "(ap (fix f (lam nat n (step 1 (ap f (succ n))))) zero)"
-
-
 @pytest.mark.parametrize("command,src,line", [
     ("profile", "(step 2 (ret triv))", "defined, cost 2"),
     ("profile", "(fix x x)", "diverges"),
-    ("profile", COUNT_UP, "exhausted at fuel 40"),
+    ("profile", COUNTING_LOOP, "exhausted at fuel 40"),
     ("denote", "(step 2 (ret 4))", "defined, cost 2, value 4"),
     ("denote", "(fix x x)", "diverges"),
-    ("denote", COUNT_UP, "exhausted"),
+    ("denote", COUNTING_LOOP, "exhausted"),
 ])
 def test_pretty_status_lines(capsys, pcf, command, src, line):
     rc, out, _ = run_main(capsys, command, pcf(src), "--fuel", "40", "--pretty")

@@ -54,7 +54,6 @@ def test_gen_inhabits_target_over_ten_thousand_seeds():
             seed=rng.randrange(2**62),
             max_depth=rng.randint(0, 6),
             target=target,
-            fix_probability=rng.choice((0.0, 0.25, 0.6)),
             terminating=bool(i % 2),
         )
         t = gen_term(cfg)
@@ -82,8 +81,7 @@ def test_terminating_mode_terminates():
 
 
 def test_nonterminating_mode_produces_some_divergence():
-    programs = gen_programs(420, 150, (F(UNIT),), terminating_frac=0.0,
-                            fix_probability=0.6)
+    programs = gen_programs(420, 150, (F(UNIT),), terminating_frac=0.0)
     diverged = sum(1 for t, _ in programs if not isinstance(mc.settle(t, 3000)[0], Defined))
     assert diverged >= 10  # plenty of genuine loops in the stream
 
@@ -97,26 +95,24 @@ def test_gen_programs_deterministic_batch():
 def gen_term_digest(monoid):
     """sha256 over the printed `gen_term` output at every key of the
     generator's production table: each target shape (returner, arrow and a
-    thunk value), depth 0-7, each fix probability, both modes, with and
-    without a context that holds a nat and forcible thunks."""
+    thunk value), depth 0-7, both modes, with and without a context that
+    holds a nat and forcible thunks."""
     h = hashlib.sha256()
     for target in TARGETS + (U(F(NAT)),):
         comp = target.comp if isinstance(target, U) else target
         for ctx in ((), (NAT, U(comp), U(F(UNIT)))):
             for depth in range(8):
-                for fix_probability in (0.0, 0.25, 0.6):
-                    for terminating in (False, True):
-                        for seed in range(5):
-                            cfg = GenConfig(seed=seed, max_depth=depth, target=target,
-                                            fix_probability=fix_probability,
-                                            monoid=monoid, terminating=terminating)
-                            h.update(sx.print_term(gen_term(cfg, ctx)).encode() + b"\n")
+                for terminating in (False, True):
+                    for seed in range(5):
+                        cfg = GenConfig(seed=seed, max_depth=depth, target=target,
+                                        monoid=monoid, terminating=terminating)
+                        h.update(sx.print_term(gen_term(cfg, ctx)).encode() + b"\n")
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("monoid, digest", [
-    (DEFAULT_MODEL.monoid, "982bfbdde60c711dc8bf57b71993d145a59580cdc980d7bc6da9079fd8926fa4"),
-    (vector_monoid(2), "28730ef01bac5eca1a064ca48a071b08c05d8f0cd9328dcacd91c7b7cfe157d7"),
+    (DEFAULT_MODEL.monoid, "8496b072d19ee60d84726747f97ffb3eca2cccb0fcba3a7372f133a22b8df21f"),
+    (vector_monoid(2), "807fb1d519a9edacf9add4ab8e5ac3d969fa2498cc5f614c3ed1faf46fa6d3a6"),
 ], ids=["nat", "vec:2"])
 def test_gen_term_stream_is_pinned(monoid, digest):
     """The generator's random stream: every rng draw in the same order with
@@ -406,27 +402,32 @@ def test_soundness_reports_a_per_step_fault(monkeypatch):
 
 def test_soundness_reads_one_trace_per_checked_program(monkeypatch):
     """Every transition soundness checks comes from one `trace` of its
-    program; no transition is recomputed one `out` call at a time."""
-    calls = {"trace": 0, "out": 0}
+    program; no transition is recomputed one `out` call at a time.  The
+    big-step verdict settles each program once, and its observation of
+    [[e]] starts the per-step chain, so [[e]] is observed once too."""
+    calls = {"trace": 0, "out": 0, "settle": 0, "observe": 0}
 
-    def counting(name):
-        real = getattr(mc, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def spy(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(mc, name, spy)
+        monkeypatch.setattr(module, name, spy)
 
-    counting("trace")
-    counting("out")
+    for name in ("trace", "out", "settle"):
+        counting(mc, name)
+    counting(dn, "observe")
     corpus = load_corpus()
     rep = check_soundness(corpus, fuel=10_000)
     assert rep.failures == ()
     # The corpus's three arrow-typed programs are skipped.
-    assert (len(corpus), calls) == (25, {"trace": 22, "out": 0})
+    assert (len(corpus), calls) == (25, {"trace": 22, "out": 0, "settle": 22, "observe": 324})
 
 
 def test_soundness_reports_a_wrong_machine_total(monkeypatch):
+    """Soundness's big-step check is the adequacy verdict: one planted fault
+    gives the same detail, machine first, in both suites."""
     real_settle = mc.settle
 
     def settle_overcharging(e, fuel, model=DEFAULT_MODEL):
@@ -436,7 +437,9 @@ def test_soundness_reports_a_wrong_machine_total(monkeypatch):
     monkeypatch.setattr(mc, "settle", settle_overcharging)
     rep = check_soundness(_countdown3(), fuel=10_000)
     assert [f.case for f in rep.failures] == ["big-step:countdown3.pcf"]
-    assert rep.failures[0].detail == "costs differ: 3 vs 4"  # denotation vs machine
+    assert rep.failures[0].detail == "costs differ: 4 vs 3"  # machine vs denotation
+    (adequate,) = check_adequacy(_countdown3(), fuel=10_000).failures
+    assert adequate.detail == rep.failures[0].detail
 
 
 SEQUENCING_LEFT_SIDES = {
@@ -570,7 +573,7 @@ def test_soundness_catches_a_denotation_that_misreads_numerals(monkeypatch):
 
     monkeypatch.setattr(dn, "_value_code", saturating)
     (rep,) = run_suite("soundness", 1, 5000)
-    assert {f.case: f.detail for f in rep.failures}["big-step:add.pcf"] == "values differ: 6 vs 7"
+    assert {f.case: f.detail for f in rep.failures}["big-step:add.pcf"] == "values differ: 7 vs 6"
 
 
 def test_agreement_reports_a_retry_that_still_does_not_settle():

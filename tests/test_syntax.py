@@ -400,9 +400,14 @@ PARSE_ERRORS = [
     ("(bind (ret zero) x)", "nat", "unexpected ')'", 1, 19, ("term",)),
     # a binder's scope ends where its form closes
     ("(bind (bind (ret zero) x (ret x)) y (ret x))", "nat", "unbound variable 'x'", 1, 42, ()),
-    # a numeral is what `int` reads: a superscript digit is no digit
+    # a numeral and a nat cost are ASCII digits: a superscript, Arabic-Indic
+    # or fullwidth digit is no digit
     ("(ret ²)", "nat", "unexpected '²'", 1, 6, ("term",)),
     ("(step ² (ret triv))", "nat", "'²' is not a natural number cost", 1, 7,
+     ("nat cost literal",)),
+    ("(ret ٣)", "nat", "unexpected '٣'", 1, 6, ("term",)),
+    ("(ret ３)", "nat", "unexpected '３'", 1, 6, ("term",)),
+    ("(step ٢ (ret triv))", "nat", "'٢' is not a natural number cost", 1, 7,
      ("nat cost literal",)),
     # a lone '[' is reported before any parsing, so before the unknown form
     ("(loop [1", "nat", "unterminated '[' literal", 1, 7, ("]",)),
