@@ -105,11 +105,10 @@ def get_monoid(name: str) -> CostMonoid:
     if name == "nat":
         return NAT_MONOID
     if name.startswith("vec:"):
-        try:
-            k = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad vector monoid '{name}': expected vec:<k>") from None
-        return vector_monoid(k)
+        k = name[4:]
+        if not (k.isascii() and k.isdecimal()):
+            raise ValueError(f"bad vector monoid '{name}': expected vec:<k>")
+        return vector_monoid(int(k))
     raise ValueError(f"unknown cost monoid '{name}' (expected nat or vec:<k>)")
 
 

@@ -108,6 +108,13 @@ def test_registry():
         get_monoid("vec:0")
 
 
+@pytest.mark.parametrize("name", ["vec:\u0663", "vec:\uff13", "vec:1_0", "vec: 3", "vec:+3", "vec:"])
+def test_vector_width_is_ascii_digits_only(name):
+    """int() would read these as 3 or 10; a width is ASCII digits only."""
+    with pytest.raises(ValueError, match="expected vec:<k>"):
+        get_monoid(name)
+
+
 def test_model_json_forms():
     assert DEFAULT_MODEL.to_json(5) == 5
     vec = CostModel(monoid=vector_monoid(2))

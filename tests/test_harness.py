@@ -425,6 +425,30 @@ def test_soundness_reads_one_trace_per_checked_program(monkeypatch):
     assert (len(corpus), calls) == (25, {"trace": 22, "out": 0, "settle": 22, "observe": 324})
 
 
+@pytest.mark.parametrize("fuel, cap, checked, detail", [
+    # The machine's 15 steps exceed fuel 14 and fit the retry at 56: the
+    # verdict agrees, and the trace runs to the terminal.
+    (14, 56, 15, None),
+    # The retry at 12 is still short: the machine stays Exhausted, so only
+    # DIVERGENT_STEP_CAP transitions are checked.
+    (3, 12, 12, "definedness differs: Exhausted vs Defined(cost=3, value=VTriv)"),
+])
+def test_soundness_after_the_machine_retry(monkeypatch, fuel, cap, checked, detail):
+    """The trace cap is the verdict's machine fuel when the machine settles,
+    retry included, and DIVERGENT_STEP_CAP otherwise."""
+    real_trace, traced = mc.trace, []
+
+    def spy(e, limit, model=DEFAULT_MODEL):
+        result = real_trace(e, limit, model)
+        traced.append((limit, len(result.steps)))
+        return result
+
+    monkeypatch.setattr(mc, "trace", spy)
+    rep = check_soundness(_countdown3(), fuel=fuel)
+    assert traced == [(cap, checked)]
+    assert [f.detail for f in rep.failures] == ([detail] if detail else [])
+
+
 def test_soundness_reports_a_wrong_machine_total(monkeypatch):
     """Soundness's big-step check is the adequacy verdict: one planted fault
     gives the same detail, machine first, in both suites."""

@@ -1,6 +1,8 @@
-"""The declared Python floor: every source and test file parses under the
-grammar of the oldest Python that pyproject.toml admits.  This checks syntax
-only; a standard-library name added after the floor goes unnoticed."""
+"""The declared Python floor: every source and test file parses with
+`ast.parse(feature_version=...)` set to the oldest Python that pyproject.toml
+admits.  CPython applies feature_version best-effort, so this is not a run
+under that Python; it checks syntax only, and a standard-library name added
+after the floor goes unnoticed."""
 
 import ast
 import re
@@ -21,7 +23,7 @@ def declared_floor():
 
 def test_the_floor_grammar_refuses_newer_syntax():
     """`except*` (3.11) and a type alias (3.12) are refused, so the check
-    below does read the floor's grammar."""
+    below does not read the running interpreter's full grammar."""
     assert declared_floor() == (3, 10)
     for source in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "type Pair = tuple\n"):
         with pytest.raises(SyntaxError):
