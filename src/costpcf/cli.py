@@ -71,10 +71,34 @@ def _status(outcome, model, **unsettled):
     return {"status": "diverges" if outcome is DIVERGES else "exhausted", **unsettled}
 
 
+class _Integer(click.ParamType):
+    """An integer written in ASCII digits, with an optional leading '-'.
+
+    The rule of numerals, costs and `vec:<k>`: click's `int` would also read
+    '٣', '３', '1_0', '+3' and ' 3'.  A range check is the command's.
+    """
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):  # a default
+            return value
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdecimal():
+            try:
+                return int(value)
+            except ValueError:  # past the interpreter's digit limit
+                pass
+        self.fail(f"{value!r} is not a valid integer.", param, ctx)
+
+
+_INTEGER = _Integer()
+
+
 # Each option some commands share, declared once; a command stacks the ones
 # it takes.
 _fuel_option = click.option(
-    "--fuel", type=int, default=DEFAULT_FUEL, show_default=True,
+    "--fuel", type=_INTEGER, default=DEFAULT_FUEL, show_default=True,
     help="Transition/observation budget.")
 _monoid_option = click.option(
     "--monoid", default="nat", show_default=True, help="Cost monoid: nat or vec:<k>.")
@@ -208,8 +232,8 @@ def adequacy(path, fuel, monoid, phase, as_json):
 
 @cli.command()
 @click.argument("suite", type=click.Choice(SUITES + ("all",)))
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cases", type=int, default=None,
+@click.option("--seed", type=_INTEGER, default=0, show_default=True)
+@click.option("--cases", type=_INTEGER, default=None,
               help="Cases per suite (suite-specific default when omitted).")
 @_fuel_option
 @_monoid_option

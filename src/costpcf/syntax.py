@@ -7,11 +7,14 @@ constructors: a computation appearing in value position *is* the thunk.
 Concrete syntax is fully parenthesized s-expressions with `;` line comments.
 `_FORMS` is the one home of its grammar: for each compound node it gives the
 keyword and the parts in concrete order, and both the parser and the printer
-read it.  One `findall` of one regex (`_LEXEME`) gives the token texts, and
-the parser reads them in one loop over an explicit stack.  A ParseError works
-out its line and column from the source only when it is raised.  Binders
-carry names in concrete syntax only; the parser resolves them to indices and
-the printer regenerates canonical names from binding depth.
+read it.  The token texts come from string operations: one `re.split` cuts
+out the cost literals and comments, and the text between them is split at
+blanks and parentheses.  The parser reads the tokens in one loop over an
+explicit stack.  A ParseError works out its line and column from the source
+only when it is raised, by scanning it with `_LEXEME`, the lexical grammar as
+one regex.  Binders carry names in concrete syntax only; the parser resolves
+them to indices and the printer regenerates canonical names from binding
+depth.
 """
 
 from __future__ import annotations
@@ -377,22 +380,48 @@ class ParseError(Exception):
         return out
 
 
-# One match per blank run (newlines included), comment or token: a
-# parenthesis, a bracketed cost literal, a word, or a '[' with no ']' after
-# it.  Only a token fills the one group, so `findall` gives each token's text
-# and an empty string for each blank run and comment.  A word is a run of
-# every other character, so each character of the source falls in some match.
+# The lexical grammar as one regex: one match per blank run (newlines
+# included), comment or token.  A token is a parenthesis, a bracketed cost
+# literal, a word, or a '[' with no ']' after it.  Only a token fills the one
+# group, so `findall` gives each token's text and an empty string for each
+# blank run and comment.  A word is a run of every other character, so each
+# character of the source falls in some match.  `_tokens` gives the same
+# tokens faster; `_error` scans with this regex to place a token in the source.
 _BLANKS = r" \t\r"
 _LEXEME = re.compile(
     rf"[{_BLANKS}\n]+|;[^\n]*|([()]|\[[^\]]*\]|[^{_BLANKS}\n();\[]+|\[)")
 _END = ""  # follows the last token; no token is empty
 
+# The two lexemes that blanks and parentheses do not delimit, as `_LEXEME`
+# reads them: a bracketed cost literal and a comment.
+_RARE = re.compile(r"(\[[^\]]*\]|;[^\n]*)")
+
 
 def _tokens(source: str) -> list:
-    """The token texts of `source`, then `_END`; a lone '[' fails before parsing."""
-    toks = list(filter(None, _LEXEME.findall(source)))
-    if "[" in toks:
-        raise _error(source, toks, toks.index("["), "unterminated '[' literal", ("]",))
+    """The token texts of `source`, then `_END`; a lone '[' fails before parsing.
+
+    `_RARE.split` gives the text between literals and comments at even
+    positions and each literal or comment at odd ones.  A literal is a token
+    and a comment is dropped.  Between them, the only tokens are parentheses
+    and words, and only " \\t\\r\\n" and parentheses end a word.  So padding
+    each parenthesis with spaces, making every blank a space and splitting
+    at spaces gives the tokens, with empty strings between them to drop.
+    (`str.split()` with no argument would also split at characters such as
+    '\\x0b' and '\\xa0', which are word characters.)  A '[' left in that
+    text has no ']' after it; `_LEXEME` finds where.
+    """
+    toks = []
+    for n, piece in enumerate(_RARE.split(source)):
+        if n % 2:
+            if piece[0] == "[":
+                toks.append(piece)
+        elif "[" in piece:
+            whole = list(filter(None, _LEXEME.findall(source)))
+            raise _error(source, whole, whole.index("["), "unterminated '[' literal", ("]",))
+        else:
+            toks += (piece.replace("(", " ( ").replace(")", " ) ").replace("\t", " ")
+                     .replace("\r", " ").replace("\n", " ").split(" "))
+    toks = list(filter(None, toks))
     toks.append(_END)
     return toks
 

@@ -473,6 +473,31 @@ def test_fuel_validation(capsys, pcf):
     assert rc == 1
 
 
+# Each integer option, with the rest of a command line that takes it.  The
+# seed and case count are read before any case runs.
+INTEGER_OPTIONS = [("--fuel", ("profile", "PATH")), ("--seed", ("check", "laws")),
+                   ("--cases", ("check", "laws"))]
+# Integers that click's `int` reads but that are not ASCII digits with an
+# optional leading '-', the rule of numerals, costs and vec:<k>.
+NOT_ASCII_INTEGERS = ("٣", "３", "1_0", "+3", " 3")
+
+
+@pytest.mark.parametrize("option, command", INTEGER_OPTIONS, ids=[o for o, _ in INTEGER_OPTIONS])
+@pytest.mark.parametrize("value", NOT_ASCII_INTEGERS)
+def test_integer_options_read_ascii_digits_only(capsys, pcf, option, command, value):
+    argv = [pcf("(ret triv)") if a == "PATH" else a for a in command]
+    rc, out, err = run_main(capsys, *argv, option, value)
+    assert (rc, out) == (1, "")
+    assert err == f"error: Invalid value for '{option}': {value!r} is not a valid integer.\n"
+
+
+def test_a_negative_integer_option_reaches_its_range_check(capsys, pcf):
+    rc, _, err = run_main(capsys, "profile", pcf("(ret triv)"), "--fuel", "-3")
+    assert (rc, err) == (1, "error: fuel must be >= 1\n")
+    rc, _, err = run_main(capsys, "check", "laws", "--cases", "-2")
+    assert (rc, err) == (1, "error: cases must be >= 1\n")
+
+
 def test_unknown_monoid(capsys, pcf):
     rc, _, err = run_main(capsys, "profile", pcf("(ret triv)"), "--monoid", "weird")
     assert rc == 1

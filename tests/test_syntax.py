@@ -411,6 +411,18 @@ PARSE_ERRORS = [
      ("nat cost literal",)),
     # a lone '[' is reported before any parsing, so before the unknown form
     ("(loop [1", "nat", "unterminated '[' literal", 1, 7, ("]",)),
+    # a ';' inside a cost literal starts no comment
+    ("(step [1;2] (ret triv))", "vec:2", "'[1;2]' is not a [c1,...,c2] cost literal", 1, 7,
+     ("vec:2 cost literal",)),
+    # an unterminated '[' after a complete literal, on its line and on the next
+    ("(step [1,0] (step [2,0 (ret triv)))", "vec:2", "unterminated '[' literal", 1, 19, ("]",)),
+    ("(step [1,0]\n(ret [))", "vec:2", "unterminated '[' literal", 2, 6, ("]",)),
+    # only space, tab, carriage return and newline are blanks: a vertical tab
+    # and a no-break space are word characters
+    ("(ret a\x0bb)", "nat", "unexpected 'a\x0bb'", 1, 6, ("term",)),
+    ("(ret a\xa0b)", "nat", "unexpected 'a\xa0b'", 1, 6, ("term",)),
+    ("(lam nat x\xa0 (ret zero))", "nat", "'x\xa0' is not a binder name", 1, 10,
+     ("binder name",)),
 ]
 
 
@@ -422,6 +434,53 @@ def test_parse_errors(src, monoid, msg, line, column, expected):
         parse(src, get_monoid(monoid))
     e = info.value
     assert (e.msg, e.line, e.column, e.expected) == (msg, line, column, expected)
+
+
+def _lexeme_tokens(source):
+    """The tokens of `source` as one scan of `_LEXEME`, the lexical grammar,
+    reads them, or the ParseError of its first lone '['."""
+    toks = [t for t in sx._LEXEME.findall(source) if t]
+    if "[" in toks:
+        raise sx._error(source, toks, toks.index("["), "unterminated '[' literal", ("]",))
+    return toks + [sx._END]
+
+
+def _tokens_or_error(tokenise, source):
+    try:
+        return tokenise(source)
+    except ParseError as e:
+        return (e.msg, e.line, e.column, e.expected)
+
+
+# The lexer's special characters, the blanks, the characters that
+# `str.split()` or `str.splitlines()` would also break at, and word
+# characters of names, numerals and neither.
+_LEXER_ALPHABET = "()[];\t\r\n \x0b\x0c\x1c\x85\xa0٣ax09_'"
+
+
+def test_tokens_match_one_scan_of_the_lexical_grammar():
+    from importlib import resources
+
+    from costpcf.harness import gen_programs
+
+    rng = random.Random(29)
+    sources = ["".join(rng.choices(_LEXER_ALPHABET, k=rng.randint(0, 24)))
+               for _ in range(50_000)]
+    sources += [f.read_text(encoding="utf-8")
+                for f in resources.files("costpcf").joinpath("corpus").iterdir()
+                if f.name.endswith(".pcf")]
+    sources += [case[0] for case in PARSE_ERRORS]
+    targets = (F(UNIT), F(NAT), F(ANS))  # as perfbench's frontend workload generates
+    for seed in (1, 47):
+        sources += [print_term(t) for t, _target in
+                    gen_programs(seed, 1000, targets, terminating_frac=0.7, depth_range=(2, 5))]
+    errors = 0
+    for source in sources:
+        want = _tokens_or_error(_lexeme_tokens, source)
+        assert _tokens_or_error(sx._tokens, source) == want, source
+        errors += isinstance(want, tuple)
+    # both outcomes are well sampled
+    assert 5_000 < errors < len(sources) - 5_000
 
 
 def test_non_terms_raise_type_error():
