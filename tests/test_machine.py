@@ -3,7 +3,7 @@
 Differential core: `oracle_out` below recomputes one transition by direct
 recursion over the term (head rules at the root, congruence in bind-head and
 ap-function position).  The production machine uses a focus/frame-stack
-runner, a genuinely different algorithm, so agreement on every reachable
+driver loop, a genuinely different algorithm, so agreement on every reachable
 state of every program is a real check, not a tautology.
 """
 
@@ -127,10 +127,27 @@ def test_out_is_deterministic():
 
 
 def test_out_raises_on_stuck_terms():
-    with pytest.raises(StuckError):
-        out(Ap(Ret(ZERO), ZERO))
-    with pytest.raises(StuckError):
-        out(Bind(Lam(NAT, Ret(Var(0))), Ret(Var(0))))
+    """The stuck term is the whole input, through every driver: a top frame
+    of the wrong kind stays on the stack until the term is rebuilt."""
+    for t in (Ap(Ret(ZERO), ZERO), Bind(Lam(NAT, Ret(Var(0))), Ret(Var(0)))):
+        for drive in (lambda t: settle(t, 10), lambda t: trace(t, 10), out):
+            with pytest.raises(StuckError) as raised:
+                drive(t)
+            assert raised.value.term == t
+
+
+def test_repeats_compares_frames_by_kind_and_payload():
+    """A frame is the bind or ap node the focus came from, but two frames
+    are the same when they have the same kind and the identical payload:
+    a memo clear can rebuild the node around the same `cont` or `arg`.  A
+    bind and an ap around one payload object are different frames."""
+    payload = Ret(ZERO)
+    marked = [Bind(Ret(TRIV), payload), Ap(Ret(TRIV), payload)]
+    rebuilt = [Bind(Ret(ZERO), payload), Ap(Ret(ZERO), payload)]
+    assert mc._repeats(rebuilt, 0, marked)
+    assert not mc._repeats(rebuilt[::-1], 0, marked)
+    assert not mc._repeats(rebuilt[1:], 0, marked[:1])
+    assert not mc._repeats([Bind(Ret(TRIV), Ret(ZERO))], 0, marked[:1])
 
 
 def test_trace_spec_examples():
@@ -296,9 +313,9 @@ def test_extensional_settle_costs_star_after_any_transition():
 # ---------------------------------------------------------------------------
 # Repeat check and substitution memo: `run` may answer None early, but only
 # where the whole budget answers None too, and `run` and `trace` reuse
-# substitutions.  The reference steps a runner whose memo remembers
-# nothing; `out`, which builds a fresh runner, and so a fresh memo, for
-# every transition, checks the terms of the first steps.
+# substitutions.  The reference steps `_drive` with a memo that remembers
+# nothing; `out`, which starts a fresh run, and so a fresh memo, for every
+# transition, checks the terms of the first steps.
 
 EXACT_FUELS = (0, 1, 2, 3, 7, 64, 2000)
 
@@ -322,15 +339,14 @@ def plain_steps(t, fuel):
     """The costs of t's transitions within fuel, stepped one at a time
     without the memo, and the terminal reached, or None if there is none
     within fuel."""
-    runner = mc._Runner(t, DEFAULT_MODEL)
-    runner.memo = Forgetful()
+    focus, frames, memo = t, [], Forgetful()
     costs = []
     for _ in range(fuel):
-        cost, used = runner.advance(1)
+        focus, cost, used = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1)
         if not used:
             break
         costs.append(cost)
-    return costs, runner.focus if runner.at_terminal() else None
+    return costs, focus if mc._terminal(focus, frames) else None
 
 
 def out_steps(t, fuel):
@@ -354,11 +370,11 @@ def test_run_matches_a_plain_step_loop():
 def fill_shared_memo(headroom):
     """Step a counting loop until the open scope's memo is `headroom`
     entries short of its cap; returns that memo."""
-    runner = mc._Runner(parse(COUNTING_LOOP), DEFAULT_MODEL)
+    focus, frames, memo = parse(COUNTING_LOOP), [], mc._memo()
     for _ in range(10 * mc.SUBST_MEMO_CAP):
-        if len(runner.memo) >= mc.SUBST_MEMO_CAP - headroom:
-            return runner.memo
-        runner.advance(1)
+        if len(memo) >= mc.SUBST_MEMO_CAP - headroom:
+            return memo
+        focus = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1)[0]
     raise AssertionError("the memo did not fill: its keys repeat")
 
 
@@ -367,7 +383,7 @@ def test_run_matches_a_plain_step_loop_inside_a_sharing_scope():
     runs made, and crosses the clears of a memo that starts nearly full."""
     with mc.sharing():
         memo = fill_shared_memo(headroom=8)
-        assert mc._Runner(ZERO, DEFAULT_MODEL).memo is memo
+        assert mc._memo() is memo
         check_matches_plain_steps()
 
 
@@ -375,16 +391,16 @@ def test_a_scope_leaves_runs_outside_it_unchanged():
     programs = [t for _, t in exactness_programs()[::7]] + [parse(ADD_300_4)]
 
     def answers():
-        assert mc._Runner(ZERO, DEFAULT_MODEL).memo == {}
+        assert mc._memo() == {}
         return [settle(t, 2000) for t in programs]
 
     before = answers()
     with mc.sharing():
         outer = fill_shared_memo(headroom=100)
         with mc.sharing():
-            assert mc._Runner(ZERO, DEFAULT_MODEL).memo == {}
+            assert mc._memo() == {}
             settle(parse(ADD_300_4), 2000)
-        assert mc._Runner(ZERO, DEFAULT_MODEL).memo is outer
+        assert mc._memo() is outer
     assert answers() == before
     with pytest.raises(ZeroDivisionError):
         with mc.sharing():
@@ -413,12 +429,15 @@ def test_a_beta_step_on_an_unused_binder_substitutes_nothing():
     and leaves the shared memo without an entry.  A used binder adds one."""
     body = parse("(step 3 (ret zero))")
     with mc.sharing():
-        runner = mc._Runner(Ap(Lam(NAT, body), ZERO), DEFAULT_MODEL)
-        assert runner.advance(1) == (0, 1)
-        assert runner.focus is body and runner.memo == {}
-        runner = mc._Runner(parse("(ap (lam nat x (ret x)) zero)"), DEFAULT_MODEL)
-        assert runner.advance(1) == (0, 1)
-        assert runner.focus == Ret(ZERO) and len(runner.memo) == 1
+        memo = mc._memo()
+        focus, total, used = mc._drive(Ap(Lam(NAT, body), ZERO), [], memo, DEFAULT_MODEL, 1)
+        assert (total, used) == (0, 1)
+        assert focus is body and memo == {}
+        memo = mc._memo()
+        t = parse("(ap (lam nat x (ret x)) zero)")
+        focus, total, used = mc._drive(t, [], memo, DEFAULT_MODEL, 1)
+        assert (total, used) == (0, 1)
+        assert focus == Ret(ZERO) and len(memo) == 1
 
 
 def check_matches_plain_steps():
@@ -532,13 +551,14 @@ ADD_300_4 = ("(ap (ap (fix f (lam nat m (lam nat n (ifz m (ret n) p "
 
 
 def memo_sizes(t, fuel):
-    """Step a runner one transition at a time; the memo's size after each."""
-    runner = mc._Runner(t, DEFAULT_MODEL)
+    """Step t one transition at a time; the memo's size after each."""
+    focus, frames, memo = t, [], mc._memo()
     sizes = []
     for _ in range(fuel):
-        if not runner.advance(1)[1]:
+        focus, _, used = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1)
+        if not used:
             break
-        sizes.append(len(runner.memo))
+        sizes.append(len(memo))
     return sizes
 
 
