@@ -99,7 +99,7 @@ _INTEGER = _Integer()
 # it takes.
 _fuel_option = click.option(
     "--fuel", type=_INTEGER, default=DEFAULT_FUEL, show_default=True,
-    help="Transition/observation budget.")
+    help="Budget in fix unfoldings, one Later each; in transitions for step.")
 _monoid_option = click.option(
     "--monoid", default="nat", show_default=True, help="Cost monoid: nat or vec:<k>.")
 _phase_option = click.option(
@@ -149,14 +149,14 @@ def step(path, with_trace, fuel, monoid, phase, as_json):
     payload = {"status": status, "steps": len(tr.steps), "total": model.to_json(tr.total)}
     if with_trace:
         payload["trace"] = [
-            {"cost": model.to_json(c), "term": sx.print_term(s)} for c, s in tr.steps
+            {"cost": model.to_json(c), "term": sx.print_term(s)} for c, s, _ in tr.steps
         ]
     if as_json:
         _emit(payload)
     else:
         click.echo(f"{status} after {len(tr.steps)} steps, total cost {model.show(tr.total)}")
         if with_trace:
-            for c, s in tr.steps:
+            for c, s, _ in tr.steps:
                 click.echo(f"  {model.show(c)}  {sx.print_term(s)}")
     return 0
 
@@ -217,7 +217,7 @@ def adequacy(path, fuel, monoid, phase, as_json):
     """Check that machine profile and denotation agree on PATH."""
     t, fuel, model = _load_run(path, fuel, monoid, phase)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
-    verdict, m, d, fuel = adequacy_verdict(t, fuel, model)
+    verdict, m, d = adequacy_verdict(t, fuel, model)
     agree = verdict is None
     payload = {"agree": agree, "machine": _status(m, model, fuel=fuel),
                "denotation": _status(d, model)}

@@ -18,13 +18,14 @@ in the mode its type supports, and the other raises TypeError.  A thunk
 denotes its own computation, [[U X]] = [[X]]: a computation in value
 position is its own value, and a forced variable is read as it is.
 
-Fixed points unfold lazily: each re-entry into a `fix` body goes through a
-guard that costs exactly one Later, making every denotation productive and
-observation fuel-monotone.  A guard builds its Later once and every
-re-entry shares it, and `unwind` reads a guard as that Later; fuel is
-still charged per unwrap, never per object.  `unwind` stops early and
-answers Diverges once it meets the same Later again in a state that proves
-it repeats forever.
+Fixed points unfold lazily: [[fix x.e]] is a guard, which x is bound to,
+and each unfolding, the first included, costs exactly one Later, as it
+costs the machine one unit of fuel.  This makes every denotation
+productive and observation fuel-monotone.  A guard enters the body when
+first forced and builds its Later once; every unfolding shares both, and
+`unwind` reads a guard as that Later; fuel is still charged per unwrap,
+never per object.  `unwind` stops early and answers Diverges once it
+meets the same Later again in a state that proves it repeats forever.
 
 The denotation [[e]] : [[Gamma]] -> T[[A]] is built once per term node, by
 recursion on the syntax, and then applied to environments: `_compile` turns
@@ -263,11 +264,11 @@ class FunComp:
 
 
 class GuardComp:
-    """A fix re-entry point: one Later per unfolding, in either mode.  Its
-    Later is built once and shared, and `unwind` reads the guard as it;
-    each unwrap still spends one fuel.  It also keeps the guard it built for
-    its last argument (one slot, compared by identity), so a loop that
-    passes its argument on unchanged meets the same Later again."""
+    """[[fix x.e]]: one Later per unfolding, the first included, in either
+    mode.  Its Later is built once and shared, and `unwind` reads the guard
+    as it; each unwrap still spends one fuel.  It also keeps the guard it
+    built for its last argument (one slot, compared by identity), so a loop
+    that passes its argument on unchanged meets the same Later again."""
 
     __slots__ = ("enter", "_delay", "_arg", "_applied")
 
@@ -358,10 +359,14 @@ def _compile(t):
         body = t.body
 
         def code(env, model):
-            holder = [None]
-            rec = GuardComp(lambda: holder[0])
-            holder[0] = (body._code or _compile(body))((rec,) + env, model)
-            return holder[0]
+            entered = []  # the body, entered at the first unfolding
+
+            def enter():
+                if not entered:
+                    entered.append((body._code or _compile(body))((rec,) + env, model))
+                return entered[0]
+            rec = GuardComp(enter)
+            return rec
     else:
         raise TypeError(f"not a computation term: {t!r}")
     # `_code` is a slot of the frozen node, not a field: this writes it past

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -274,10 +275,7 @@ def load_corpus():
 
 
 # ---------------------------------------------------------------------------
-# Agreement: one comparison and one retry rule, shared by every suite
-
-RETRY_FACTOR = 4
-
+# Agreement: one comparison, and one exact rule for runs at one fuel
 
 def _answer(value):
     """A Defined outcome's value as ground data, read by the semantics that
@@ -309,19 +307,17 @@ def disagreement(o1, o2, model):
     return None
 
 
-def agreement(o1, o2, again1, again2, fuel, model):
-    """The one agreement rule for outcomes o1, o2 observed at `fuel`:
-    (disagreement, o1, o2) after at most one retry.
-
-    An Exhausted side facing a Defined one may only be short of fuel, so it
-    is observed once more at RETRY_FACTOR times the fuel, by again1 or
-    again2 (fuel -> outcome).  Diverges facing Defined is a proof that they
-    differ: no fuel can excuse it, so it is never retried."""
-    if o1 is EXHAUSTED and isinstance(o2, Defined):
-        o1 = again1(RETRY_FACTOR * fuel)
-    elif o2 is EXHAUSTED and isinstance(o1, Defined):
-        o2 = again2(RETRY_FACTOR * fuel)
-    return disagreement(o1, o2, model), o1, o2
+def exact_disagreement(side1, side2, model):
+    """Why two runs at one fuel f, each (outcome, fuel used), disagree, or
+    None: `disagreement`, and when both are Defined, equal fuel used.  A run
+    Defined after u units is Defined at every fuel from u to f and not
+    below, so this finds nothing exactly when the two agree at every fuel
+    up to f: the rule is exact, with no retry."""
+    (o1, u1), (o2, u2) = side1, side2
+    why = disagreement(o1, o2, model)
+    if why is None and isinstance(o1, Defined) and u1 != u2:
+        why = f"fuel used differs: {u1} vs {u2}"
+    return why
 
 
 def _charged(c, outcome, model):
@@ -383,22 +379,16 @@ def check_laws(seed, cases, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRepo
     """Monad unit/associativity for (eta, bindT), distributive-law coherence,
     and the three derived cost-algebra laws, as observational equalities.
 
-    Each side is unwound once, at `fuel`, to (outcome, Laters used).  Two
-    sides agree at every fuel up to `fuel` exactly when their outcomes agree
-    there and, if both are Defined, they used the same Laters: `unwind` says
-    how one unwinding decides every smaller fuel.  So the check is exact,
-    with no retry: Diverges and Exhausted both mean "not Defined within that
-    fuel".  Some generated delays never settle, so proved divergences meet
-    the laws too."""
+    Each side is unwound once, at `fuel`, to (outcome, Laters used), and
+    the two agree by `exact_disagreement`, where Diverges and Exhausted both
+    mean "not Defined within that fuel".  Some generated delays never
+    settle, so proved divergences meet the laws too."""
     rng = random.Random(seed)
     failures = []
     m = model.monoid
 
     def compare(case, side1, side2):
-        (o1, u1), (o2, u2) = side1, side2
-        why = disagreement(o1, o2, model)
-        if why is None and isinstance(o1, Defined) and u1 != u2:
-            why = f"Laters needed differ: {u1} vs {u2}"
+        why = exact_disagreement(side1, side2, model)
         if why is not None:
             failures.append(Failure(case, (), why, fuel))
 
@@ -454,44 +444,42 @@ def _ground_f_type(t, model):
 
 
 def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
-    """Per transition e -> (c, e'): [[e]] = c (+) [[e']], by the one
-    agreement rule.  Per program, big-step: `adequacy_verdict`, the machine
-    outcome against [[e]] in definedness, exact cost and value.
+    """Per transition e -> (c, e'), [[e]] at fuel f agrees by `disagreement`
+    with c (+) [[e']] at f less its unfoldings; big-step: `adequacy_verdict`.
 
-    The transitions come from one `mc.trace` of the program: terminating
-    programs get every transition checked; divergent ones are capped at
+    The transitions come from one `mc.trace` of the program: programs the
+    machine settles get every transition checked; the others are capped at
     DIVERGENT_STEP_CAP transitions (their transition graphs are cyclic
-    modulo substitution, so a small prefix already covers each rule).  The
-    chain starts from the verdict's observation of [[e]], and each [[e_k]]
-    along the run is observed once and shared by the two transitions it
-    borders.  `programs` is a list of (name, term) pairs; only those of a
-    ground returner type are checked, the others are skipped (they still
-    count in `cases`).
+    modulo substitution, so a small prefix already covers each rule), and
+    stop where their unfoldings have spent the fuel.  The chain starts from
+    the verdict's observation of [[e]], and each [[e_k]] along the run is
+    observed once and shared by the two transitions it borders.  `programs`
+    is a list of (name, term) pairs; only those of a ground returner type
+    are checked, the others are skipped (they still count in `cases`).
     """
     failures = []
     for name, e in programs:
         if _ground_f_type(e, model) is None:
             continue
-        verdict, machine, o_lhs, machine_fuel = adequacy_verdict(e, fuel, model)
-        cap = machine_fuel if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
+        verdict, machine, o_lhs = adequacy_verdict(e, fuel, model)
+        cap = sys.maxsize if isinstance(machine, Defined) else DIVERGENT_STEP_CAP
 
         # Prop: one transition preserves the denotation up to charging.
-        lhs = dn.denote_closed(e, model).to_delay()
         steps = mc.trace(e, cap, model).steps
-        for stepno, (cost, term) in enumerate(steps):
-            nxt = dn.denote_closed(term, model).to_delay()
-            o_nxt = dn.observe(nxt, fuel, model)
-            why = agreement(o_lhs, _charged(cost, o_nxt, model),
-                            lambda f: dn.observe(lhs, f, model),
-                            lambda f: _charged(cost, dn.observe(nxt, f, model), model),
-                            fuel, model)[0]
+        left = fuel
+        for stepno, (cost, term, unfolded) in enumerate(steps):
+            left -= unfolded
+            if left < 0:
+                break
+            o_nxt = dn.observe(dn.denote_closed(term, model).to_delay(), left, model)
+            why = disagreement(o_lhs, _charged(cost, o_nxt, model), model)
             if why:
                 before = steps[stepno - 1][1] if stepno else e
                 failures.append(Failure(
                     f"per-step:{name}", (sx.print_term(e), sx.print_term(before)),
                     f"transition {stepno}: {why}", fuel))
                 break
-            lhs, o_lhs = nxt, o_nxt
+            o_lhs = o_nxt
 
         # Thm: machine evaluation is reflected exactly in the denotation.
         if verdict:
@@ -503,9 +491,8 @@ def check_soundness(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRe
 # Suite: adequacy at the observation type
 
 def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
-    """The machine and [[e]] agree by the one agreement rule: in
-    definedness, exact cost and value (machine steps and Laters are
-    different budgets, which the rule's one retry allows for)."""
+    """The machine and [[e]] agree by `adequacy_verdict`: in definedness,
+    exact cost and value, and in fuel used, fix unfoldings against Laters."""
     failures = []
     for name, e in programs:
         verdict = adequacy_verdict(e, fuel, model)[0]
@@ -515,21 +502,14 @@ def check_adequacy(programs, fuel, model: CostModel = DEFAULT_MODEL) -> CheckRep
 
 
 def adequacy_verdict(e, fuel, model):
-    """(detail, machine outcome, denotation outcome, the machine's fuel) of
-    the runs decided on, machine first; detail is None when they agree.
+    """(detail, machine outcome, denotation outcome) of one `mc.settle` of e
+    and one `dn.unwind` of [[e]] at `fuel`, whose fix unfoldings and Laters
+    are one unit; detail is None when they agree by `exact_disagreement`.
     Adequacy and soundness's big-step check both read this one verdict."""
-    delay = dn.denote_closed(e, model).to_delay()
-    fuels = []
-
-    def machine(f):
-        fuels.append(f)
-        return mc.settle(e, f, model)[0]
-
-    def denotation(f):
-        return dn.observe(delay, f, model)
-
-    why, m, d = agreement(machine(fuel), denotation(fuel), machine, denotation, fuel, model)
-    return why, m, d, fuels[-1]
+    machine, _, unfolded = mc.settle(e, fuel, model)
+    denotation, laters = dn.unwind(dn.denote_closed(e, model).to_delay(), fuel, model)
+    why = exact_disagreement((machine, unfolded), (denotation, laters), model)
+    return why, machine, denotation
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +635,20 @@ def gen_ni_arg_pairs(seed, count, fuel, model: CostModel = DEFAULT_MODEL):
     return pairs
 
 
+# Noninterference reruns a side that ran out at this many times the fuel.
+RETRY_FACTOR = 4
+
+
 def check_noninterference(functions, args, fuel, model: CostModel = DEFAULT_MODEL) -> CheckReport:
     """Terminating arguments of thunk type differ only in cost, so every
     function U(F unit) -> F ans must send both members of a pair to the same
-    answer: the two runs agree by the one agreement rule with costs sealed
-    (the Extensional model's `eq`).  A pair on which neither run settles is
-    vacuous.  Each run is repeated under the Extensional phase, where the
-    costs themselves must collapse to the sealed point."""
+    answer: the two runs agree by `disagreement` with costs sealed (the
+    Extensional model's `eq`).  They are different programs, whose fuel
+    needs may differ, so an Exhausted run facing a Defined one is run once
+    more at RETRY_FACTOR times the fuel.  A pair on which neither run
+    settles is vacuous.  Each run is repeated under the Extensional phase
+    at its own fuel, where it must answer as before and, if Defined, with
+    its cost collapsed to the sealed point."""
     failures = []
     ext = model.with_phase(Phase.EXTENSIONAL)
     cases = 0
@@ -674,19 +661,23 @@ def check_noninterference(functions, args, fuel, model: CostModel = DEFAULT_MODE
             cases += 1
             name = f"ni[{fidx}/{aidx}]"
             fx, fy = sx.Ap(f, x), sx.Ap(f, y)
-            why, ox, _ = agreement(mc.settle(fx, fuel, model)[0], mc.settle(fy, fuel, model)[0],
-                                   lambda n: mc.settle(fx, n, model)[0],
-                                   lambda n: mc.settle(fy, n, model)[0], fuel, ext)
+            ix, iy = mc.settle(fx, fuel, model)[0], mc.settle(fy, fuel, model)[0]
+            ox, oy = ix, iy
+            if ox is EXHAUSTED and isinstance(oy, Defined):
+                ox = mc.settle(fx, RETRY_FACTOR * fuel, model)[0]
+            elif oy is EXHAUSTED and isinstance(ox, Defined):
+                oy = mc.settle(fy, RETRY_FACTOR * fuel, model)[0]
+            why = disagreement(ox, oy, ext)
             if why:
                 fail(name, f"answers differ: {why}", (f, x, y))
                 continue
             if not isinstance(ox, Defined):
                 continue  # not a terminating pair for this function; vacuous
-            ex = mc.settle(fx, fuel, ext)[0]
-            ey = mc.settle(fy, fuel, ext)[0]
-            if disagreement(ex, ox, ext) or disagreement(ey, ox, ext):
+            ex, ey = mc.settle(fx, fuel, ext)[0], mc.settle(fy, fuel, ext)[0]
+            if disagreement(ex, ix, ext) or disagreement(ey, iy, ext):
                 fail(name, "extensional rerun changed the answer", (f, x, y))
-            elif ex.cost is not STAR or ey.cost is not STAR:
+            elif (isinstance(ex, Defined) and ex.cost is not STAR
+                  or isinstance(ey, Defined) and ey.cost is not STAR):
                 fail(name, "extensional cost failed to seal", (f,))
     return CheckReport("noninterference", cases, tuple(failures))
 

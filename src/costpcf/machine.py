@@ -34,14 +34,16 @@ scope, where every run uses the scope's one memo: the harness opens one per
 named suite, whose runs redo each other's substitutions.  The memo is never
 process-wide: which nodes it holds decides the step at which `settle` proves
 a repeat, and so whether it does within its fuel, and a suite's answers must
-not depend on what ran before it.  One fuel unit is one fired head rule,
-hit or miss.  Costs add left to right, in the order the `step`s fire.
+not depend on what ran before it.  Costs add left to right, in the order the
+`step`s fire.  `settle`'s fuel counts fix unfoldings, each one `Later` of
+the denotation; `trace`'s counts transitions, and says which unfolded a fix.
 `settle` stops early and answers Diverges once it proves that a fix
 unfolding repeats forever; `trace` and `out` never do.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -86,7 +88,7 @@ MISMATCH = Mismatch()
 
 @dataclass(frozen=True)
 class Trace:
-    steps: tuple  # of (cost, Term), or (cost, None) without terms
+    steps: tuple  # of (cost, Term or None without terms, whether it unfolded a fix)
     total: object
     truncated: bool
 
@@ -133,12 +135,13 @@ def _terminal(focus, frames) -> bool:
     return not frames and isinstance(focus, (Ret, Lam))
 
 
-def _drive(focus, frames, memo, model: CostModel, fuel: int, watch: bool = False):
-    """Fire at most `fuel` transitions from the state `focus` under
-    `frames`, which it pushes and pops in place: (the new focus, their costs
-    added left to right, how many fired).  It stops early at a terminal or,
-    when watching, at a repeat proven among this call's transitions (see
-    `settle`); `_terminal` tells them apart.
+def _drive(focus, frames, memo, model: CostModel, steps: int, unfolds: int):
+    """Fire at most `steps` transitions, `unfolds` of them fix unfoldings,
+    from the state `focus` under `frames`, which it pushes and pops in
+    place: (the new focus, their costs added left to right, the transitions
+    fired, the fixes unfolded).  It stops early at a terminal, at a fix past
+    the budget or at a repeat proven among this call's transitions (see
+    `settle`); `_terminal` tells a terminal from the other two.
 
     This is the machine's one dispatch loop.  Dispatch is on exact node
     type, most frequent first in the `check all` battery: no class
@@ -154,13 +157,13 @@ def _drive(focus, frames, memo, model: CostModel, fuel: int, watch: bool = False
     add = model.add
     total = zero = model.zero()
     used = 0
-    # Repeat check, on when `watch`: fix unfoldings so far, the fix node
-    # and a copy of the frame stack marked at the last power-of-two count,
-    # and the lowest stack height since then.
+    # Repeat check: fix unfoldings so far, the fix node and a copy of the
+    # frame stack marked at the last power-of-two count that leaves fuel for
+    # another unfolding, and the lowest stack height since then.
     fixes = low = 0
     mark = None
     snapshot: list = []
-    while used < fuel:
+    while used < steps:
         kind = type(focus)
         if kind is Ap:
             fun = focus.fun
@@ -200,14 +203,13 @@ def _drive(focus, frames, memo, model: CostModel, fuel: int, watch: bool = False
             if len(frames) < low:
                 low = len(frames)
         elif kind is Fix:
-            if watch:
-                if focus is mark and _repeats(frames, low, snapshot):
-                    break
-                fixes += 1
-                if not fixes & (fixes - 1):
-                    mark = focus
-                    snapshot = frames.copy()
-                    low = len(frames)
+            if fixes >= unfolds or (focus is mark and _repeats(frames, low, snapshot)):
+                break
+            fixes += 1
+            if not fixes & (fixes - 1) and fixes < unfolds:
+                mark = focus
+                snapshot = frames.copy()
+                low = len(frames)
             body, arg = focus.body, focus
         elif kind is Bind:
             head = focus.head
@@ -230,7 +232,7 @@ def _drive(focus, frames, memo, model: CostModel, fuel: int, watch: bool = False
         used += 1
     if used and total is zero:
         total = add(total, zero)
-    return focus, total, used
+    return focus, total, used, fixes
 
 
 def _repeats(frames, low, snapshot) -> bool:
@@ -259,12 +261,12 @@ def _repeats(frames, low, snapshot) -> bool:
 def out(e, model: CostModel = DEFAULT_MODEL) -> Next | Terminal:
     """One transition of the closed computation e, or Terminal."""
     steps = trace(e, 1, model).steps
-    return Next(*steps[0]) if steps else TERMINAL
+    return Next(*steps[0][:2]) if steps else TERMINAL
 
 
 def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL, terms: bool = True) -> Trace:
-    """Fire at most fuel transitions one at a time, recording each (cost,
-    term) step.
+    """Fire at most fuel transitions one at a time, recording each step as
+    (cost, term, whether it unfolded a fix).
 
     With terms=False each step records None for its term, so no term is
     rebuilt from the frame stack per step."""
@@ -272,47 +274,49 @@ def trace(e, fuel: int, model: CostModel = DEFAULT_MODEL, terms: bool = True) ->
     steps = []
     total = model.zero()
     for _ in range(fuel):
-        focus, cost, used = _drive(focus, frames, memo, model, 1)
+        focus, cost, used, unfolded = _drive(focus, frames, memo, model, 1, 1)
         if not used:
             break
         total = model.add(total, cost)
-        steps.append((cost, _plug(frames, focus) if terms else None))
+        steps.append((cost, _plug(frames, focus) if terms else None, unfolded == 1))
     return Trace(tuple(steps), total, not _terminal(focus, frames))
 
 
 def settle(e, fuel: int, model: CostModel = DEFAULT_MODEL):
-    """Drive e towards a terminal within fuel: (outcome, steps used).
+    """Drive e towards a terminal within fuel fix unfoldings: (outcome,
+    transitions fired, fixes unfolded).
 
     The outcome is Defined(total cost, terminal term), Diverges, or
-    Exhausted when the budget runs out first.  A run that provably repeats
-    forever answers Diverges at once: at each power-of-two count of fix
-    unfoldings the driver marks the fix node, the frame stack height and a
-    copy of the frames (Brent's cycle detection).  When the same node (by
-    identity) is unfolded again, the run repeats without end in two cases.
-    If none of the frames present at the mark has been popped, the steps
-    since the mark used only that node and the frames they pushed
-    themselves, so they recur, allowing the stack to grow.  If the stack is
-    back at the marked height and every frame from the lowest height since
-    the mark up has the marked frame's kind and the identical payload, the
-    whole machine state is the marked one.  Identity implies structural
-    equality, so both are exact; the substitution memo (see the module
-    docstring) makes equal unfoldings identical, so loops that rebuild an
-    inner fix or pass an argument on unchanged are caught too.  The run
-    only stops short of its budget at a terminal or at such a repeat, so
-    which one it was is read off once, afterwards.  `trace` and `out`
-    never take this shortcut.
+    Exhausted when the budget runs out first.  Other transitions are free:
+    only `fix` recurses.  A run that provably repeats forever answers
+    Diverges at once: at each power-of-two count of fix unfoldings the
+    driver marks the fix node, the frame stack height and a copy of the
+    frames (Brent's cycle detection).  When the same node (by identity) is
+    unfolded again, the run repeats without end in two cases.  If none of
+    the frames present at the mark has been popped, the steps since the
+    mark used only that node and the frames they pushed themselves, so they
+    recur, allowing the stack to grow.  If the stack is back at the marked
+    height and every frame from the lowest height since the mark up has the
+    marked frame's kind and the identical payload, the whole machine state
+    is the marked one.  Identity implies structural equality, so both are
+    exact; the substitution memo (see the module docstring) makes equal
+    unfoldings identical, so loops that rebuild an inner fix or pass an
+    argument on unchanged are caught too.  The fuel check runs first, as in
+    `denote.unwind`, so the run stops short of its budget only at a
+    terminal or at such a repeat, and which one it was is read off once,
+    afterwards.  `trace` and `out` never take this shortcut.
     """
     frames = []
-    focus, total, used = _drive(e, frames, _memo(), model, fuel, watch=True)
+    focus, total, used, unfolded = _drive(e, frames, _memo(), model, sys.maxsize, fuel)
     if _terminal(focus, frames):
-        return Defined(total, focus), used
-    return (DIVERGES if used < fuel else EXHAUSTED), used
+        return Defined(total, focus), used, unfolded
+    return (DIVERGES if unfolded < fuel else EXHAUSTED), used, unfolded
 
 
 def run(e, fuel: int, model: CostModel = DEFAULT_MODEL):
-    """`settle` as (total cost, terminal term, steps used), or None when e
-    does not settle within fuel (it diverges or the budget runs out)."""
-    outcome, used = settle(e, fuel, model)
+    """`settle` as (total cost, terminal term, transitions fired), or None
+    when e does not settle within fuel (it diverges or the budget runs out)."""
+    outcome, used, _ = settle(e, fuel, model)
     if isinstance(outcome, Defined):
         return outcome.cost, outcome.value, used
     return None

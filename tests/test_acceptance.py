@@ -96,7 +96,7 @@ def test_criterion_5_adequacy(acceptance_log):
         programs += [(f"fuzz[{i}]", t) for i, (t, _) in enumerate(fuzz)]
         rep = _assert_clean(check_adequacy(programs, fuel=100_000))
         return (f"profile vs denotation on {rep.cases} programs "
-                f"(corpus subset + 200 fuzzed), 0 stabilized disagreements")
+                f"(corpus subset + 200 fuzzed), 0 disagreements")
     _criterion(acceptance_log, 5, "cost-sensitive adequacy", 120, go)
 
 

@@ -309,8 +309,8 @@ def test_adequacy_command_on_divergent_program(capsys, pcf):
 
 
 def test_adequacy_reports_the_runs_it_decided_on(capsys, pcf):
-    """At fuel 2 the machine runs out on five binds but the denotation needs
-    no Later; the 4x retry agrees, and the payload shows those runs."""
+    """Five binds and no fix: at fuel 2 both semantics settle, since each
+    spends fuel only on fix unfoldings, and the payload shows those runs."""
     src = ("(bind (ret triv) a (bind (ret triv) b (bind (ret triv) c "
            "(bind (ret triv) d (step 1 (ret triv))))))")
     rc, out, _ = run_main(capsys, "adequacy", pcf(src), "--fuel", "2", "--json")

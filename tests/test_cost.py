@@ -147,10 +147,10 @@ WORDS = CostModel(CostMonoid(
 ])
 def test_both_semantics_add_costs_left_to_right(src, want):
     t = parse(src, WORDS.monoid)
-    outcome, used = mc.settle(t, 20, WORDS)
+    outcome, used, _ = mc.settle(t, 20, WORDS)
     assert outcome == Defined(want, Ret(TRIV))
     tr = mc.trace(t, 20, WORDS, terms=False)
-    assert "".join(c for c, _ in tr.steps) == want
+    assert "".join(c for c, _, _ in tr.steps) == want
     assert (tr.total, tr.truncated, len(tr.steps)) == (want, False, used)
     d = dn.denote_closed(t, WORDS).to_delay()
     assert dn.observe(d, 20, WORDS) == Defined(want, dn.TRIV)

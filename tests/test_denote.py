@@ -176,7 +176,7 @@ def test_bind_at_a_function_type_applies_pointwise(d, k, v):
     ("(ap (bind (step 2 (ret triv)) u (fix f (lam nat n (ap f n)))) 0)", DIVERGES, 1),
     # ... and through a charge at a function type.
     ("(ap (step 3 (fix f (lam nat n (ifz n (ret n) p (step 1 (ap f p)))))) 4)",
-     dn.Defined(7, VNum(0)), 4),
+     dn.Defined(7, VNum(0)), 5),
 ])
 def test_applying_a_charged_or_sequenced_function(src, outcome, laters):
     t = sx.parse(src)
@@ -290,15 +290,20 @@ def test_a_thunk_denotes_its_own_computation():
     assert denote((sx.U(sx.F(sx.NAT)),), sx.Var(0), [d]) is d
 
 
-def test_fix_unfolds_one_later_per_reentry():
-    """The slope of fuel against recursion depth is exactly one."""
+def test_fix_unfolds_one_later_per_unfolding():
+    """The slope of fuel against recursion depth is exactly one, and the
+    first entry costs one Later too, as the machine's first unfolding does."""
     def countdown(n):
         return sx.parse(
             f"(ap (fix r (lam nat n (ifz n (ret triv) p (step 1 (ap r p))))) {n})")
     for n in range(5):
-        d = denote_closed(countdown(n)).to_delay()
-        assert laters_needed(d, 100) == n
+        t = countdown(n)
+        d = denote_closed(t).to_delay()
+        assert laters_needed(d, 100) == n + 1 == mc.settle(t, 100)[2]
         assert observe(d, 100) == dn.Defined(n, dn.TRIV)
+    # A fix that is never forced is never entered and costs nothing.
+    t = sx.parse("(bind (ret (fix x (step 1 x))) u (step 2 (ret triv)))")
+    assert unwind(denote_closed(t).to_delay(), 0) == (dn.Defined(2, dn.TRIV), 0)
 
 
 @pytest.mark.parametrize("name", ["omega.pcf", "ticking_loop.pcf", "countdown3.pcf"])
@@ -311,7 +316,7 @@ def test_reobserving_a_fix_denotation_matches_a_fresh_one(name):
         for fuel in range(12):
             assert observe(shared, fuel) == observe(denote_closed(t).to_delay(), fuel)
         assert laters_needed(shared, 12) == laters_needed(denote_closed(t).to_delay(), 12)
-    assert laters_needed(shared, 12) == (3 if name == "countdown3.pcf" else None)
+    assert laters_needed(shared, 12) == (4 if name == "countdown3.pcf" else None)
 
 
 def test_guard_reuses_its_later():
@@ -339,7 +344,7 @@ def test_observe_accepts_a_later_subclass(monkeypatch):
     calls.clear()
     t = dict(hz.load_corpus())["countdown3.pcf"]
     assert observe(denote_closed(t).to_delay(), 10) == dn.Defined(3, dn.TRIV)
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_ticking_loop_charges_but_never_settles():
@@ -502,9 +507,11 @@ def test_observe_recognises_a_repeating_later(monkeypatch, src):
     assert len(calls) <= 300
 
 
-@pytest.mark.parametrize("name, laters", [
+@pytest.mark.parametrize("name, reentries", [
     ("countdown3.pcf", 3), ("countdown5.pcf", 5), ("ackermann.pcf", 26)])
-def test_observe_does_not_flag_a_recursion_on_new_arguments(name, laters):
+def test_observe_does_not_flag_a_recursion_on_new_arguments(name, reentries):
+    """One Later for the first entry and one per recursive call."""
+    laters = reentries + 1
     t = dict(hz.load_corpus())[name]
     d = denote_closed(t).to_delay()
     assert laters_needed(d, 10**6) == laters
@@ -572,7 +579,7 @@ def test_one_compiled_node_serves_every_cost_model(models):
     for model in models:
         got = answer(t, model)
         assert got == answer(sx.parse(ALL_FORMS), model)
-        assert got[0].value == VNum(1) and got[1] == 3
+        assert got[0].value == VNum(1) and got[1] == 4
         assert got[0].cost == {DEFAULT_MODEL: 0, VEC2: (0, 0), EXT: STAR}[model]
     assert EXT.show(answer(t, EXT)[0].cost) == "*"
 

@@ -8,6 +8,7 @@ acceptance-scale runs live in test_acceptance.py.
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -15,10 +16,10 @@ import costpcf.denote as dn
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
-from costpcf.cli import DEFAULT_FUEL
+from costpcf.cli import DEFAULT_FUEL, main
 from costpcf.cost import DEFAULT_MODEL, STAR, Phase, vector_monoid, CostModel
 from costpcf.harness import (
-    CheckReport, Failure, GenConfig, SUITES, adequacy_verdict, agreement,
+    CheckReport, Failure, GenConfig, SUITES, adequacy_verdict,
     check_adequacy, check_laws, check_noninterference, check_sequencing_laws,
     check_soundness, gen_ni_arg_pairs, gen_ni_functions, gen_programs,
     gen_sequencing_instances, gen_term, load_corpus, run_suite,
@@ -390,8 +391,9 @@ def test_soundness_reports_a_per_step_fault(monkeypatch):
     def trace_off_by_one_once(e, fuel, model=DEFAULT_MODEL, terms=True):
         tr = real_trace(e, fuel, model, terms)
         traces.append(tr)
-        (first, (cost, term), *rest) = tr.steps
-        return mc.Trace((first, (model.add(cost, 1), term), *rest), tr.total, tr.truncated)
+        (first, (cost, term, unfolded), *rest) = tr.steps
+        return mc.Trace((first, (model.add(cost, 1), term, unfolded), *rest),
+                        tr.total, tr.truncated)
 
     monkeypatch.setattr(mc, "trace", trace_off_by_one_once)
     rep = check_soundness(_countdown3(), fuel=10_000)
@@ -403,9 +405,10 @@ def test_soundness_reports_a_per_step_fault(monkeypatch):
 def test_soundness_reads_one_trace_per_checked_program(monkeypatch):
     """Every transition soundness checks comes from one `trace` of its
     program; no transition is recomputed one `out` call at a time.  The
-    big-step verdict settles each program once, and its observation of
-    [[e]] starts the per-step chain, so [[e]] is observed once too."""
-    calls = {"trace": 0, "out": 0, "settle": 0, "observe": 0}
+    big-step verdict settles each program once and unwinds [[e]] once, and
+    that observation starts the per-step chain, which observes each later
+    [[e_k]] once: 302 transitions, one `observe` each, which unwinds."""
+    calls = {"trace": 0, "out": 0, "settle": 0, "observe": 0, "unwind": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -418,35 +421,52 @@ def test_soundness_reads_one_trace_per_checked_program(monkeypatch):
     for name in ("trace", "out", "settle"):
         counting(mc, name)
     counting(dn, "observe")
+    counting(dn, "unwind")
     corpus = load_corpus()
     rep = check_soundness(corpus, fuel=10_000)
     assert rep.failures == ()
     # The corpus's three arrow-typed programs are skipped.
-    assert (len(corpus), calls) == (25, {"trace": 22, "out": 0, "settle": 22, "observe": 324})
+    assert (len(corpus), calls) == (25, {"trace": 22, "out": 0, "settle": 22, "observe": 302,
+                                         "unwind": 22 + 302})
 
 
-@pytest.mark.parametrize("fuel, cap, checked, detail", [
-    # The machine's 15 steps exceed fuel 14 and fit the retry at 56: the
-    # verdict agrees, and the trace runs to the terminal.
-    (14, 56, 15, None),
-    # The retry at 12 is still short: the machine stays Exhausted, so only
-    # DIVERGENT_STEP_CAP transitions are checked.
-    (3, 12, 12, "definedness differs: Exhausted vs Defined(cost=3, value=VTriv)"),
-])
-def test_soundness_after_the_machine_retry(monkeypatch, fuel, cap, checked, detail):
-    """The trace cap is the verdict's machine fuel when the machine settles,
-    retry included, and DIVERGENT_STEP_CAP otherwise."""
-    real_trace, traced = mc.trace, []
+@pytest.mark.parametrize("fuel, cap, traced, checked", [
+    # countdown3 unfolds its fix 4 times in 15 transitions: at fuel 4 the
+    # machine settles, and the trace runs to the terminal.
+    (4, sys.maxsize, 15, 15),
+    # At fuel 3 both sides are Exhausted, so only DIVERGENT_STEP_CAP
+    # transitions are checked; the 4th unfolding would be the 13th.
+    (3, 12, 12, 12),
+    # At fuel 1 the 2nd unfolding, the 5th transition, would leave no fuel:
+    # the chain stops before it.
+    (1, 12, 12, 4),
+], ids=["settled", "capped", "fuel-spent"])
+def test_soundness_traces_to_the_terminal_or_the_fuel_left(monkeypatch, fuel, cap, traced,
+                                                           checked):
+    """The trace cap is unbounded when the machine settles and
+    DIVERGENT_STEP_CAP otherwise, and the per-step chain stops where the
+    transitions' unfoldings have spent the fuel.  With one unit of fuel for
+    both semantics, every fuel agrees: no retry is needed."""
+    real_trace, real_observe, seen = mc.trace, dn.observe, []
 
     def spy(e, limit, model=DEFAULT_MODEL):
         result = real_trace(e, limit, model)
-        traced.append((limit, len(result.steps)))
+        seen.append((limit, len(result.steps)))
         return result
 
+    def observe(d, f, model=DEFAULT_MODEL):
+        seen.append(f)
+        return real_observe(d, f, model)
+
     monkeypatch.setattr(mc, "trace", spy)
+    monkeypatch.setattr(dn, "observe", observe)
     rep = check_soundness(_countdown3(), fuel=fuel)
-    assert traced == [(cap, checked)]
-    assert [f.detail for f in rep.failures] == ([detail] if detail else [])
+    assert rep.failures == ()
+    assert seen[0] == (cap, traced)
+    # Each checked transition observes [[e_k+1]] at the fuel it leaves.
+    lefts = seen[1:]
+    assert len(lefts) == checked and min(lefts) >= 0
+    assert lefts == [fuel - 1 - i // 4 for i in range(checked)]
 
 
 def test_soundness_reports_a_wrong_machine_total(monkeypatch):
@@ -455,8 +475,8 @@ def test_soundness_reports_a_wrong_machine_total(monkeypatch):
     real_settle = mc.settle
 
     def settle_overcharging(e, fuel, model=DEFAULT_MODEL):
-        outcome, used = real_settle(e, fuel, model)
-        return Defined(model.add(outcome.cost, 1), outcome.value), used
+        outcome, used, unfolded = real_settle(e, fuel, model)
+        return Defined(model.add(outcome.cost, 1), outcome.value), used, unfolded
 
     monkeypatch.setattr(mc, "settle", settle_overcharging)
     rep = check_soundness(_countdown3(), fuel=10_000)
@@ -498,12 +518,12 @@ def test_sequencing_reports_a_faulty_left_side(monkeypatch, law, fault):
     real_settle = mc.settle
 
     def faulty_settle(e, fuel, model=DEFAULT_MODEL):
-        outcome, used = real_settle(e, fuel, model)
+        outcome, used, unfolded = real_settle(e, fuel, model)
         if e not in faulty:
-            return outcome, used
+            return outcome, used, unfolded
         if fault == "exhaust":
-            return EXHAUSTED, fuel
-        return Defined(model.add(outcome.cost, 1), outcome.value), used
+            return EXHAUSTED, used, fuel
+        return Defined(model.add(outcome.cost, 1), outcome.value), used, unfolded
 
     monkeypatch.setattr(mc, "settle", faulty_settle)
     if fault == "overcharge":
@@ -534,38 +554,57 @@ def test_sequencing_instances_hold_both_sides_of_their_law():
 
 
 # ---------------------------------------------------------------------------
-# The one agreement rule
+# Noninterference's agreement rule, the one rule with a retry
 
-ONE = Defined(1, dn.TRIV)
+ONE = Defined(1, Ret(sx.TRIV))
+NI_F = sx.parse("(lam (U (F unit)) x (bind x u (ret yes)))")
+NI_X, NI_Y = sx.parse("(ret triv)"), sx.parse("(step 1 (ret triv))")
+
+
+def planted_ni_runs(monkeypatch, answers):
+    """A machine that answers `answers[(side, fuel)]`, or else ONE, for NI_F
+    applied to NI_X (side "x") or NI_Y ("y"), its cost added under the
+    run's model so that an Extensional run seals it; returns the list of
+    (side, fuel) of those runs, in order."""
+    calls = []
+    real_settle = mc.settle
+
+    def settle(e, fuel, model=DEFAULT_MODEL):
+        if type(e) is not sx.Ap or e.fun is not NI_F:
+            return real_settle(e, fuel, model)
+        side = "x" if e.arg is NI_X else "y"
+        calls.append((side, fuel))
+        outcome = answers.get((side, fuel), ONE)
+        if isinstance(outcome, Defined):
+            outcome = Defined(model.add(outcome.cost, model.zero()), Ret(outcome.value.arg))
+        return outcome, 0, 0
+
+    monkeypatch.setattr(mc, "settle", settle)
+    return calls
 
 
 @pytest.mark.parametrize("o1, o2, retry, agree", [
     pytest.param(ONE, ONE, None, True, id="defined-equal"),
-    pytest.param(ONE, Defined(2, dn.TRIV), None, False, id="defined-costs-differ"),
-    pytest.param(ONE, Defined(1, dn.V_YES), None, False, id="defined-values-differ"),
+    # Noninterference compares with costs sealed.
+    pytest.param(ONE, Defined(2, Ret(sx.TRIV)), None, True, id="defined-costs-differ"),
+    pytest.param(ONE, Defined(1, Ret(sx.YES)), None, False, id="defined-values-differ"),
     pytest.param(ONE, DIVERGES, None, False, id="defined-diverges"),
     pytest.param(DIVERGES, ONE, None, False, id="diverges-defined"),
-    pytest.param(ONE, EXHAUSTED, 2, True, id="defined-exhausted"),
-    pytest.param(EXHAUSTED, ONE, 1, True, id="exhausted-defined"),
+    pytest.param(ONE, EXHAUSTED, "y", True, id="defined-exhausted"),
+    pytest.param(EXHAUSTED, ONE, "x", True, id="exhausted-defined"),
     pytest.param(DIVERGES, DIVERGES, None, True, id="diverges-diverges"),
     pytest.param(DIVERGES, EXHAUSTED, None, True, id="diverges-exhausted"),
     pytest.param(EXHAUSTED, DIVERGES, None, True, id="exhausted-diverges"),
     pytest.param(EXHAUSTED, EXHAUSTED, None, True, id="exhausted-exhausted"),
 ])
-def test_agreement_rule(o1, o2, retry, agree):
-    """Each cell of the rule.  Only an Exhausted side facing a Defined one is
-    observed again, once, at 4x fuel; here it then settles as the other."""
-    again = []
-
-    def observer(side):
-        def observe(fuel):
-            again.append((side, fuel))
-            return ONE
-        return observe
-
-    why, _, _ = agreement(o1, o2, observer(1), observer(2), 100, DEFAULT_MODEL)
-    assert again == ([] if retry is None else [(retry, 400)])
-    assert (why is None) == agree
+def test_agreement_rule(monkeypatch, o1, o2, retry, agree):
+    """Each cell of noninterference's rule.  Only an Exhausted run facing a
+    Defined one is run again, once, at 4x fuel; here it then settles as
+    the other."""
+    calls = planted_ni_runs(monkeypatch, {("x", 100): o1, ("y", 100): o2})
+    rep = check_noninterference([NI_F], [(NI_X, NI_Y)], 100)
+    assert [c for c in calls if c[1] != 100] == ([] if retry is None else [(retry, 400)])
+    assert rep.ok == agree
 
 
 @pytest.mark.parametrize("terminal, value, why", [
@@ -600,45 +639,57 @@ def test_soundness_catches_a_denotation_that_misreads_numerals(monkeypatch):
     assert {f.case: f.detail for f in rep.failures}["big-step:add.pcf"] == "values differ: 7 vs 6"
 
 
-def test_agreement_reports_a_retry_that_still_does_not_settle():
-    why, o1, _ = agreement(EXHAUSTED, ONE, lambda f: DIVERGES, None, 100, DEFAULT_MODEL)
-    assert o1 is DIVERGES
-    assert why == "definedness differs: Diverges vs Defined(cost=1, value=VTriv)"
+def test_agreement_reports_a_retry_that_still_does_not_settle(monkeypatch):
+    planted_ni_runs(monkeypatch, {("x", 100): EXHAUSTED, ("x", 400): DIVERGES})
+    (failure,) = check_noninterference([NI_F], [(NI_X, NI_Y)], 100).failures
+    assert failure.detail == (
+        "answers differ: definedness differs: Diverges vs Defined(cost=1, value=Ret(arg=Triv()))")
 
 
-def spy_on_both_semantics(monkeypatch, outcome, below):
-    """Record the fuel of every machine run and denotation observation; the
-    machine answers `outcome` at any fuel below `below`."""
-    calls = {"settle": [], "observe": []}
-    real_settle, real_observe = mc.settle, dn.observe
+def test_noninterference_retries_an_exhausted_side_once_at_four_times_the_fuel(monkeypatch):
+    """The retry settles x, so the pair is checked; each Extensional rerun
+    runs at the suite's fuel and is compared with its own side's run there,
+    Exhausted for x, not with the retry's answer."""
+    calls = planted_ni_runs(monkeypatch, {("x", 100): EXHAUSTED})
+    assert check_noninterference([NI_F], [(NI_X, NI_Y)], 100).failures == ()
+    assert calls == [("x", 100), ("y", 100), ("x", 400), ("x", 100), ("y", 100)]
+
+
+def spy_on_both_semantics(monkeypatch, outcome):
+    """Record the fuel of every machine run and denotation unwinding; the
+    machine answers `outcome`."""
+    calls = {"settle": [], "unwind": []}
+    real_unwind = dn.unwind
 
     def settle(e, fuel, model=DEFAULT_MODEL):
         calls["settle"].append(fuel)
-        return (outcome, 0) if fuel < below else real_settle(e, fuel, model)
+        return outcome, 0, 0
 
-    def observe(d, fuel, model=DEFAULT_MODEL):
-        calls["observe"].append(fuel)
-        return real_observe(d, fuel, model)
+    def unwind(d, fuel, model=DEFAULT_MODEL):
+        calls["unwind"].append(fuel)
+        return real_unwind(d, fuel, model)
 
     monkeypatch.setattr(mc, "settle", settle)
-    monkeypatch.setattr(dn, "observe", observe)
+    monkeypatch.setattr(dn, "unwind", unwind)
     return calls
 
 
 def test_adequacy_never_retries_a_proved_divergence(monkeypatch):
-    calls = spy_on_both_semantics(monkeypatch, DIVERGES, below=10**9)
-    why, m, d, fuel = adequacy_verdict(sx.parse("(step 2 (ret triv))"), 100, DEFAULT_MODEL)
+    calls = spy_on_both_semantics(monkeypatch, DIVERGES)
+    why, m, d = adequacy_verdict(sx.parse("(step 2 (ret triv))"), 100, DEFAULT_MODEL)
     assert why == "definedness differs: Diverges vs Defined(cost=2, value=VTriv)"
-    assert (m, d, fuel) == (DIVERGES, Defined(2, dn.TRIV), 100)
-    assert calls == {"settle": [100], "observe": [100]}
+    assert (m, d) == (DIVERGES, Defined(2, dn.TRIV))
+    assert calls == {"settle": [100], "unwind": [100]}
 
 
-def test_adequacy_retries_an_exhausted_side_once_at_four_times_the_fuel(monkeypatch):
-    calls = spy_on_both_semantics(monkeypatch, EXHAUSTED, below=400)
-    why, m, d, fuel = adequacy_verdict(sx.parse("(step 2 (ret triv))"), 100, DEFAULT_MODEL)
-    assert why is None
-    assert (m, d, fuel) == (Defined(2, Ret(sx.TRIV)), Defined(2, dn.TRIV), 400)
-    assert calls == {"settle": [100, 400], "observe": [100]}
+def test_adequacy_never_retries_an_exhausted_side(monkeypatch):
+    """Both semantics count fuel in fix unfoldings, so a machine run that is
+    Exhausted where the denotation is Defined at the same fuel fails too."""
+    calls = spy_on_both_semantics(monkeypatch, EXHAUSTED)
+    why, m, d = adequacy_verdict(sx.parse("(step 2 (ret triv))"), 100, DEFAULT_MODEL)
+    assert why == "definedness differs: Exhausted vs Defined(cost=2, value=VTriv)"
+    assert (m, d) == (EXHAUSTED, Defined(2, dn.TRIV))
+    assert calls == {"settle": [100], "unwind": [100]}
 
 
 def test_laws_meet_proved_divergences(monkeypatch):
@@ -663,7 +714,7 @@ def test_laws_meet_proved_divergences(monkeypatch):
 
 
 @pytest.mark.parametrize("fault, detail, laws", [
-    ("extra-later", "Laters needed differ", {"dist", "algebra-bind"}),
+    ("extra-later", "fuel used differs", {"dist", "algebra-bind"}),
     ("cost-twice", "costs differ", {"dist"}),
 ], ids=["extra-later", "cost-twice"])
 def test_laws_see_laters_used_and_costs(monkeypatch, fault, detail, laws):
@@ -709,10 +760,9 @@ def test_laws_treat_a_proved_and_an_unproved_divergence_alike(monkeypatch):
     assert rep.failures == ()
 
 
-def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
-    """Every ground program of the `check all --seed 1` soundness and
-    adequacy batteries that does not settle is proved divergent by both
-    semantics, at the fuels those suites use."""
+def check_all_batteries(monkeypatch):
+    """{suite: (programs, fuel)} of the soundness and adequacy batteries of
+    `check all --seed 1`, as those suites receive them."""
     seen = {}
 
     def spy(name):
@@ -727,8 +777,16 @@ def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
     seeds = {name: rng.randrange(2**62) for name in SUITES}
     for name in ("soundness", "adequacy"):
         run_suite(name, seeds[name], DEFAULT_FUEL)
+    monkeypatch.undo()
+    return seen
+
+
+def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
+    """Every ground program of the `check all --seed 1` soundness and
+    adequacy batteries that does not settle is proved divergent by both
+    semantics, at the fuels those suites use."""
     divergent = {}
-    for name, (programs, fuel) in seen.items():
+    for name, (programs, fuel) in check_all_batteries(monkeypatch).items():
         divergent[name] = 0
         for label, t in programs:
             if hz._ground_f_type(t, DEFAULT_MODEL) is None:
@@ -740,6 +798,103 @@ def test_check_all_proves_every_divergence_in_its_batteries(monkeypatch):
             assert machine is DIVERGES, (name, label)
             assert dn.observe(dn.denote_closed(t).to_delay(), fuel) is DIVERGES, (name, label)
     assert divergent == {"soundness": 11, "adequacy": 5}
+
+
+def test_unfoldings_equal_laters_on_every_terminating_program(monkeypatch):
+    """One unit of fuel for both semantics: on every program of the corpus
+    and of the `check all --seed 1` soundness battery that settles, the
+    machine's fix unfoldings are the Laters [[e]] unwinds, and an
+    unfolding's Later is spent even on the first entry."""
+    programs, fuel = check_all_batteries(monkeypatch)["soundness"]
+    assert [label for label, _ in programs[:25]] == [name for name, _ in load_corpus()]
+    settled = 0
+    for label, t in programs:
+        if hz._ground_f_type(t, DEFAULT_MODEL) is None:
+            continue
+        machine, _, unfolded = mc.settle(t, fuel)
+        if not isinstance(machine, Defined):
+            continue
+        settled += 1
+        outcome, laters = dn.unwind(dn.denote_closed(t).to_delay(), fuel)
+        assert isinstance(outcome, Defined) and laters == unfolded, label
+    assert settled == 511
+
+
+@pytest.mark.parametrize("fuel", range(1, 9))
+def test_check_all_finds_nothing_at_small_fuel(capsys, fuel):
+    """Both semantics spend one unit per fix unfolding, so a small fuel
+    leaves each side unsettled exactly when the other is: no suite reports
+    a counterexample that is not there."""
+    assert main(["check", "all", "--fuel", str(fuel), "--cases", "2"]) == 0
+    capsys.readouterr()
+
+
+def plant_eager_guard(monkeypatch):
+    """Enter a fix body when the fix is denoted, as a guard did before the
+    first unfolding cost a Later: only re-entries spend one."""
+    real = dn._compile
+
+    def compile_node(t):
+        if type(t) is not sx.Fix:
+            return real(t)
+        body = t.body
+
+        def code(env, model):
+            holder = []
+            rec = dn.GuardComp(lambda: holder[0])
+            holder.append((body._code or dn._compile(body))((rec,) + env, model))
+            return holder[0]
+        object.__setattr__(t, "_code", code)
+        return code
+
+    monkeypatch.setattr(dn, "_compile", compile_node)
+
+
+def plant_two_later_guard(monkeypatch):
+    """A guard whose shared Later unwraps to a second shared Later."""
+    def to_delay(self):
+        if self._delay is None:
+            inner = dn.Later(self.enter)
+            self._delay = dn.Later(lambda: inner)
+        return self._delay
+
+    monkeypatch.setattr(dn.GuardComp, "to_delay", to_delay)
+
+
+@pytest.mark.parametrize("plant", [plant_eager_guard, plant_two_later_guard],
+                         ids=["no-later-on-entry", "two-laters"])
+def test_check_all_reports_a_guard_that_spends_the_wrong_laters(monkeypatch, plant):
+    """A guard that spends no Later on a fix's first entry, or two per
+    unfolding, answers every program as before, only after other Laters:
+    the big-step verdict's fuel-used comparison reports it."""
+    plant(monkeypatch)
+    failures = {r.name: r.failures for r in run_suite("all", 1, DEFAULT_FUEL) if r.failures}
+    assert set(failures) == {"soundness", "adequacy"}
+    for rep in failures.values():
+        assert all(f.detail.startswith("fuel used differs") for f in rep)
+    assert len(failures["adequacy"]) == 51
+
+
+# The two noninterference rows: (f, x, y) at fuel 3.  In the first, y takes
+# more transitions than x but unfolds no fix.  In the second, f forces its
+# argument inside a countdown, so f x needs more unfoldings than f y.
+NI_ROWS = [
+    ("(lam (U (F unit)) x (bind x x1 (ret no)))", "(ret triv)",
+     "(bind (step 0 (ret zero)) x (ret triv))"),
+    ("(lam (U (F unit)) x (ap (fix x1 (lam nat x2 (ifz x2 (bind x x3 (step 1 (ret yes)))"
+     " x3 (ap x1 x3)))) 2))",
+     "(ap (fix x (lam nat x1 (ifz x1 (step 0 (step 1 (ret triv))) x2 (step 5 (ap x x2))))) 2)",
+     "(ret triv)"),
+]
+
+
+def test_noninterference_compares_each_extensional_rerun_with_its_own_run():
+    """Each Extensional rerun runs at the suite's fuel, so it is compared
+    with its own side's Intensional run at that fuel, not with an answer
+    the retry found at 4x the fuel."""
+    for f, x, y in NI_ROWS:
+        rep = check_noninterference([sx.parse(f)], [(sx.parse(x), sx.parse(y))], 3)
+        assert rep.failures == (), (f, x, y)
 
 
 @pytest.mark.parametrize("model", [

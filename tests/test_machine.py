@@ -99,6 +99,17 @@ def test_cost_created_only_by_step():
             assert tr.total == step_total
 
 
+def test_trace_flags_exactly_the_fix_unfoldings():
+    """A traced step says whether it unfolded a `fix`: exactly where the
+    oracle fires its fix rule."""
+    programs = [t for _, t in hz.load_corpus()]
+    programs += [t for t, _ in hz.gen_programs(88, 120, (F(sx.UNIT), F(NAT)), 0.7)]
+    for t in programs:
+        fired = walk_both(t, 150)
+        flags = [unfolded for _, _, unfolded in trace(t, 150).steps]
+        assert flags == [rule == "fix" for rule, _ in fired], sx.print_term(t)
+
+
 # ---------------------------------------------------------------------------
 # Pinned transition examples
 
@@ -156,13 +167,13 @@ def test_trace_spec_examples():
 
     tr = trace(Step(2, Step(3, Ret(TRIV))), 10)
     assert (len(tr.steps), tr.total, tr.truncated) == (2, 5, False)
-    assert tr.steps[0] == (2, Step(3, Ret(TRIV)))
-    assert tr.steps[1] == (3, Ret(TRIV))
+    assert tr.steps[0] == (2, Step(3, Ret(TRIV)), False)
+    assert tr.steps[1] == (3, Ret(TRIV), False)
 
     tr = trace(Fix(Var(0)), 4)
     assert tr.truncated
     assert len(tr.steps) == 4
-    assert all(s == (0, Fix(Var(0))) for s in tr.steps)
+    assert all(s == (0, Fix(Var(0)), True) for s in tr.steps)
 
 
 def test_eval_spec_examples():
@@ -185,19 +196,25 @@ def test_profile_spec_examples():
     assert profile(Step(7, Fix(Var(0))), 100) is DIVERGES
 
 
-def test_fuel_counts_transitions_not_cost():
-    # one transition of cost 7 fits in fuel 1
-    assert profile(Step(7, Ret(TRIV)), 1) == Defined(7, Ret(TRIV))
-    # fuel 0 can only accept an immediate terminal
-    assert profile(Ret(TRIV), 0) == Defined(0, Ret(TRIV))
-    assert profile(Step(0, Ret(TRIV)), 0) is EXHAUSTED
+def test_fuel_counts_fix_unfoldings_not_transitions_or_cost():
+    # a transition of cost 7, and any number of transitions without a fix,
+    # fit in fuel 0
+    assert profile(Step(7, Ret(TRIV)), 0) == Defined(7, Ret(TRIV))
+    assert settle(parse("(bind (step 1 (ret triv)) u (step 2 (ret u)))"), 0) == (
+        Defined(3, Ret(TRIV)), 3, 0)
+    # fuel 0 refuses the first unfolding, fuel 1 the second
+    countdown = parse("(ap (fix r (lam nat n (ifz n (ret triv) p (step 1 (ap r p))))) 1)")
+    assert settle(countdown, 0) == (EXHAUSTED, 0, 0)
+    assert settle(countdown, 1) == (EXHAUSTED, 4, 1)
+    assert settle(countdown, 2) == (Defined(1, Ret(TRIV)), 7, 2)
 
 
 def check_eval(t, fuel, model=DEFAULT_MODEL):
     """`eval_term` on a closed ground returner t.  If t settles within fuel: one
-    Defined answer from exactly the settling fuel on, none below, Mismatch at
-    another ground target.  If not: never Defined; a proved divergence stays."""
-    outcome, used = settle(t, fuel, model)
+    Defined answer from exactly the fix unfoldings it used on, none below,
+    Mismatch at another ground target.  If not: never Defined; a proved
+    divergence stays."""
+    outcome, _, used = settle(t, fuel, model)
     where = sx.print_term(t)
     if not isinstance(outcome, Defined):
         for f in (0, used // 2, used):
@@ -302,11 +319,11 @@ def test_extensional_settle_costs_star_after_any_transition():
     """The cost object itself: the zero it starts from after no transition,
     STAR after one, also when no `step` fired."""
     ext = DEFAULT_MODEL.with_phase(Phase.EXTENSIONAL)
-    assert settle(Ret(TRIV), 10, ext) == (Defined(0, Ret(TRIV)), 0)
+    assert settle(Ret(TRIV), 10, ext) == (Defined(0, Ret(TRIV)), 0, 0)
     assert settle(Ret(TRIV), 10, ext)[0].cost is not STAR
     for src, used in (("(bind (ret triv) x (ret x))", 1), ("(step 2 (ret triv))", 1),
                       ("(bind (step 0 (ret triv)) x (ret x))", 2)):
-        outcome, n = settle(parse(src), 10, ext)
+        outcome, n, _ = settle(parse(src), 10, ext)
         assert (outcome.cost, outcome.value, n) == (STAR, Ret(TRIV), used), src
 
 
@@ -335,18 +352,20 @@ class Forgetful(dict):
         pass
 
 
-def plain_steps(t, fuel):
-    """The costs of t's transitions within fuel, stepped one at a time
-    without the memo, and the terminal reached, or None if there is none
-    within fuel."""
+def plain_steps(t, unfolds):
+    """The (cost, whether it unfolded a fix) of t's transitions before its
+    (unfolds + 1)th fix unfolding, stepped one at a time without the memo,
+    and the terminal reached, or None if there is none before it."""
     focus, frames, memo = t, [], Forgetful()
-    costs = []
-    for _ in range(fuel):
-        focus, cost, used = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1)
+    steps = []
+    while True:
+        focus, cost, used, unfolded = mc._drive(
+            focus, frames, memo, DEFAULT_MODEL, 1, min(unfolds, 1))
         if not used:
             break
-        costs.append(cost)
-    return costs, focus if mc._terminal(focus, frames) else None
+        unfolds -= unfolded
+        steps.append((cost, unfolded == 1))
+    return steps, focus if mc._terminal(focus, frames) else None
 
 
 def out_steps(t, fuel):
@@ -363,7 +382,7 @@ def out_steps(t, fuel):
 
 def test_run_matches_a_plain_step_loop():
     """`settle` answers Diverges only where the plain loop finds no terminal
-    within that fuel, nor within 2000 steps more."""
+    within that fuel, nor within 2000 unfoldings more."""
     check_matches_plain_steps()
 
 
@@ -374,7 +393,7 @@ def fill_shared_memo(headroom):
     for _ in range(10 * mc.SUBST_MEMO_CAP):
         if len(memo) >= mc.SUBST_MEMO_CAP - headroom:
             return memo
-        focus = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1)[0]
+        focus = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1, 1)[0]
     raise AssertionError("the memo did not fill: its keys repeat")
 
 
@@ -417,10 +436,10 @@ def test_a_nearly_full_memo_can_delay_a_proof():
     fuel.  Both fixes use their binder, so both unfoldings substitute; the
     `ifz` takes its zero branch, which substitutes nothing."""
     t = parse("(fix x (fix x1 (step 5 (ifz zero x p x1))))")
-    assert settle(t, 7) == (DIVERGES, 5)
+    assert settle(t, 4) == (DIVERGES, 5, 3)
     with mc.sharing():
         fill_shared_memo(headroom=1)
-        assert settle(t, 7) == (EXHAUSTED, 7)
+        assert settle(t, 4) == (EXHAUSTED, 8, 4)
 
 
 def test_a_beta_step_on_an_unused_binder_substitutes_nothing():
@@ -430,44 +449,63 @@ def test_a_beta_step_on_an_unused_binder_substitutes_nothing():
     body = parse("(step 3 (ret zero))")
     with mc.sharing():
         memo = mc._memo()
-        focus, total, used = mc._drive(Ap(Lam(NAT, body), ZERO), [], memo, DEFAULT_MODEL, 1)
+        focus, total, used, _ = mc._drive(Ap(Lam(NAT, body), ZERO), [], memo, DEFAULT_MODEL, 1, 1)
         assert (total, used) == (0, 1)
         assert focus is body and memo == {}
         memo = mc._memo()
         t = parse("(ap (lam nat x (ret x)) zero)")
-        focus, total, used = mc._drive(t, [], memo, DEFAULT_MODEL, 1)
+        focus, total, used, _ = mc._drive(t, [], memo, DEFAULT_MODEL, 1, 1)
         assert (total, used) == (0, 1)
         assert focus == Ret(ZERO) and len(memo) == 1
 
 
+def unfolding_cut(ref, fuel):
+    """How many of the transitions `ref` come before the unfolding that
+    `fuel` unfoldings do not cover."""
+    seen = 0
+    for i, (_, unfolded) in enumerate(ref):
+        seen += unfolded
+        if seen > fuel:
+            return i
+    return len(ref)
+
+
 def check_matches_plain_steps():
+    """`trace` at fuel n fires the first n transitions of the plain loop;
+    `settle` at fuel n fires every transition before its (n+1)th fix
+    unfolding, and settles where that prefix ends at the terminal."""
     for name, t in exactness_programs():
+        # At least 4000 transitions, or every one up to the terminal.
         ref, terminal = plain_steps(t, max(EXACT_FUELS) + 2000)
         for fuel in EXACT_FUELS:
             want = ref[:fuel]
             want_done = terminal is not None and len(ref) <= fuel
             tr = trace(t, fuel, terms=False)
-            assert [c for c, _ in tr.steps] == want, (name, fuel)
-            assert (tr.total, tr.truncated) == (sum(want), not want_done), (name, fuel)
+            assert [(c, u) for c, _, u in tr.steps] == want, (name, fuel)
+            assert (tr.total, tr.truncated) == (sum(c for c, _ in want), not want_done), (name, fuel)
+            cut = unfolding_cut(ref, fuel)
+            settled = terminal is not None and cut == len(ref)
             res = run(t, fuel)
-            outcome, used = settle(t, fuel)
-            if not want_done:
+            outcome, used, unfolded = settle(t, fuel)
+            if not settled:
                 assert res is None, (name, fuel)
                 if outcome is DIVERGES:
-                    assert terminal is None or len(ref) > fuel + 2000, (name, fuel)
+                    assert terminal is None, (name, fuel)
                 else:
-                    assert outcome is EXHAUSTED, (name, fuel)
+                    assert (outcome, used, unfolded) == (EXHAUSTED, cut, fuel), (name, fuel)
                 continue
-            assert res == (sum(want), terminal, len(want)), (name, fuel)
-            assert (outcome, used) == (Defined(sum(want), terminal), len(want)), (name, fuel)
-        assert trace(t, 64).steps == tuple(out_steps(t, 64)), name
+            total = sum(c for c, _ in ref)
+            assert res == (total, terminal, len(ref)), (name, fuel)
+            assert (outcome, used) == (Defined(total, terminal), len(ref)), (name, fuel)
+            assert unfolded == sum(u for _, u in ref), (name, fuel)
+        assert tuple(s[:2] for s in trace(t, 64).steps) == tuple(out_steps(t, 64)), name
 
 
 def assert_proves_repeat(t):
     """`settle` proves t's repeat within 7 transitions, counted by the
     `used` it returns.  The fuel is small, so a run that misses its repeat
     fails here at once instead of spinning through a large fuel."""
-    outcome, used = settle(t, 10)
+    outcome, used, _ = settle(t, 10)
     assert outcome is DIVERGES and used <= 7, "the run did not recognise its repeat"
 
 
@@ -521,11 +559,12 @@ def test_run_does_not_flag_a_fix_whose_frame_was_popped(name):
     after popping the ap frame that held the previous argument."""
     t = dict(hz.load_corpus())[f"{name}.pcf"]
     cost, steps, printed = CORPUS_EXPECT[name]
-    for fuel in (steps, 10**6):
+    unfolded = settle(t, 10**6)[2]
+    for fuel in (unfolded, 10**6):
         total, terminal, used = run(t, fuel)
         assert (total, used, sx.print_term(terminal)) == (cost, steps, printed)
-    assert run(t, steps - 1) is None
-    assert eval_term(t, terminal, steps - 1) is EXHAUSTED
+    assert run(t, unfolded - 1) is None
+    assert eval_term(t, terminal, unfolded - 1) is EXHAUSTED
 
 
 def test_trace_spends_every_step_on_a_repeating_fix():
@@ -537,11 +576,37 @@ def test_trace_spends_every_step_on_a_repeating_fix():
     assert tr.truncated and len(tr.steps) == 64
 
 
+class CountingFrames(list):
+    """A frame stack that counts the copies taken of it."""
+
+    copies = 0
+
+    def copy(self):
+        self.copies += 1
+        return list(self)
+
+
+def test_a_one_transition_drive_takes_no_repeat_mark():
+    """`trace` drives one transition at a time, so a repeat mark could never
+    be used: none is taken, and tracing grow_loop, whose stack grows by one
+    frame per unfolding, copies no stack.  A whole run marks at each
+    power-of-two count of unfoldings that leaves fuel for one more."""
+    t = dict(hz.load_corpus())["grow_loop.pcf"]
+    focus, frames, memo = t, CountingFrames(), {}
+    for _ in range(500):
+        focus = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1, 1)[0]
+    assert frames.copies == 0 and len(frames) > 100
+    for fuel, marks in ((16, 4), (17, 5)):  # at 1, 2, 4, 8, and 16 if fuel is left
+        frames = CountingFrames()
+        mc._drive(parse(COUNTING_LOOP), frames, {}, DEFAULT_MODEL, 10**6, fuel)
+        assert frames.copies == marks
+
+
 def test_trace_without_terms_keeps_costs_and_total():
     t = parse("(step 2 (bind (step 3 (ret triv)) u (ret u)))")
     full, bare = trace(t, 10), trace(t, 10, terms=False)
-    assert [c for c, _ in bare.steps] == [c for c, _ in full.steps]
-    assert all(s is None for _, s in bare.steps)
+    assert [(c, u) for c, _, u in bare.steps] == [(c, u) for c, _, u in full.steps]
+    assert all(s is None for _, s, _ in bare.steps)
     assert (bare.total, bare.truncated) == (full.total, full.truncated) == (5, False)
 
 
@@ -555,7 +620,7 @@ def memo_sizes(t, fuel):
     focus, frames, memo = t, [], mc._memo()
     sizes = []
     for _ in range(fuel):
-        focus, _, used = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1)
+        focus, _, used, _ = mc._drive(focus, frames, memo, DEFAULT_MODEL, 1, 1)
         if not used:
             break
         sizes.append(len(memo))
@@ -568,7 +633,7 @@ def test_memo_is_exact_across_a_clear():
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "the memo was never cleared"
     ref, terminal = plain_steps(t, 100_000)
     assert len(ref) == len(sizes)
-    assert run(t, 100_000) == (sum(ref), terminal, len(ref))
+    assert run(t, 100_000) == (sum(c for c, _ in ref), terminal, len(ref))
     assert sx.print_term(terminal) == "(ret 304)"
 
 
