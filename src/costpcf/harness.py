@@ -4,7 +4,8 @@ The harness generates well-typed terms type-directed from one weighted
 table of productions (`_GRAMMAR`), runs the machine and the denotational
 interpreter side by side, and checks the properties the two semantics must
 satisfy together: monad/cost-algebra laws, per-step and big-step soundness,
-cost adequacy, the sequencing laws, and cost noninterference.
+cost adequacy, the sequencing laws, and cost noninterference.  Fuel is one
+unit in both semantics, a fix unfolding or a Later, so they compare exactly.
 Every check is deterministic given (seed, fuel, monoid, phase).
 
 Terminating instances come from a countdown-combinator discipline: recursion
@@ -661,8 +662,7 @@ def check_noninterference(functions, args, fuel, model: CostModel = DEFAULT_MODE
             cases += 1
             name = f"ni[{fidx}/{aidx}]"
             fx, fy = sx.Ap(f, x), sx.Ap(f, y)
-            ix, iy = mc.settle(fx, fuel, model)[0], mc.settle(fy, fuel, model)[0]
-            ox, oy = ix, iy
+            ox, oy = ix, iy = mc.settle(fx, fuel, model)[0], mc.settle(fy, fuel, model)[0]
             if ox is EXHAUSTED and isinstance(oy, Defined):
                 ox = mc.settle(fx, RETRY_FACTOR * fuel, model)[0]
             elif oy is EXHAUSTED and isinstance(ox, Defined):
