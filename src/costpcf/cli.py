@@ -6,6 +6,11 @@ failure, 3 internal error.  All machine-facing output is single-line compact
 JSON so repeated runs are byte-comparable; --pretty switches the single-file
 commands to a short human-readable line.
 
+The five file commands (`typecheck`, `step`, `profile`, `denote`,
+`adequacy`) are registered by `_file_command`.  It declares PATH and the
+shared options, checks --fuel, resolves the cost model, loads PATH, and
+prints what the command's body returns: a JSON payload or its pretty text.
+
 `profile`, `denote` and `adequacy` report each outcome by its status:
 "defined", "diverges" when the run is proved to repeat forever, or
 "exhausted" when the fuel runs out first with no such proof.
@@ -13,6 +18,7 @@ commands to a short human-readable line.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -54,13 +60,6 @@ def _load(path, model):
     except UnicodeDecodeError as e:
         raise click.FileError(path, hint=f"not UTF-8 ({e.reason} at byte {e.start})")
     return sx.parse(src, model.monoid)
-
-
-def _load_run(path, fuel, monoid, phase):
-    """A running command's program in PATH, its fuel and its cost model."""
-    fuel = _resolve_fuel(fuel)
-    model = _resolve_model(monoid, phase)
-    return _load(path, model), fuel, model
 
 
 def _status(outcome, model, **unsettled):
@@ -115,119 +114,93 @@ def cli():
     """Typecheck, run, interpret, and validate cost-annotated programs."""
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_monoid_option
-@_json_option
-def typecheck(path, monoid, as_json):
+def _file_command(*own_options, runs=True):
+    """Register `body(term, model, [fuel,] **own)`, which returns its payload,
+    pretty text and exit code; only a command that `runs` takes --fuel/--phase."""
+    shared = (_fuel_option, _monoid_option, _phase_option) if runs else (_monoid_option,)
+    params = (click.argument("path", type=click.Path(exists=True, dir_okay=False)),
+              *own_options, *shared, _json_option)
+
+    def register(body):
+        @functools.wraps(body)
+        def command(path, monoid, as_json, phase=Phase.INTENSIONAL.value, **opts):
+            if runs:
+                opts["fuel"] = _resolve_fuel(opts["fuel"])
+            model = _resolve_model(monoid, phase)
+            payload, text, code = body(_load(path, model), model, **opts)
+            if as_json:
+                _emit(payload)
+            else:
+                click.echo(text)
+            return code
+        for param in reversed(params):
+            command = param(command)
+        return cli.command()(command)
+    return register
+
+
+@_file_command(runs=False)
+def typecheck(t, model):
     """Print the inferred type of the program in PATH."""
-    model = _resolve_model(monoid, Phase.INTENSIONAL.value)
-    judgment = infer((), _load(path, model), monoid=model.monoid)
-    shown = show_type(judgment.classification.type)
-    if as_json:
-        _emit({"type": shown})
-    else:
-        click.echo(shown)
-    return 0
+    shown = show_type(infer((), t, monoid=model.monoid).classification.type)
+    return {"type": shown}, shown, 0
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--trace", "with_trace", is_flag=True, default=False,
-              help="Include the per-step (cost, term) list.")
-@_fuel_option
-@_monoid_option
-@_phase_option
-@_json_option
-def step(path, with_trace, fuel, monoid, phase, as_json):
+@_file_command(click.option("--trace", "with_trace", is_flag=True, default=False,
+                            help="Include the per-step (cost, term) list."))
+def step(t, model, fuel, with_trace):
     """Run the abstract machine on PATH and summarize the trace."""
-    t, fuel, model = _load_run(path, fuel, monoid, phase)
     if not isinstance(program_type(t, model.monoid), (sx.F, sx.Arrow)):
         raise TypeCheckError("the machine runs computations, not values")
     tr = mc.trace(t, fuel, model, terms=with_trace)
     status = "truncated" if tr.truncated else "terminal"
     payload = {"status": status, "steps": len(tr.steps), "total": model.to_json(tr.total)}
+    lines = [f"{status} after {len(tr.steps)} steps, total cost {model.show(tr.total)}"]
     if with_trace:
-        payload["trace"] = [
-            {"cost": model.to_json(c), "term": sx.print_term(s)} for c, s, _ in tr.steps
-        ]
-    if as_json:
-        _emit(payload)
-    else:
-        click.echo(f"{status} after {len(tr.steps)} steps, total cost {model.show(tr.total)}")
-        if with_trace:
-            for c, s, _ in tr.steps:
-                click.echo(f"  {model.show(c)}  {sx.print_term(s)}")
-    return 0
+        steps = [(c, sx.print_term(s)) for c, s, _ in tr.steps]
+        payload["trace"] = [{"cost": model.to_json(c), "term": s} for c, s in steps]
+        lines += [f"  {model.show(c)}  {s}" for c, s in steps]
+    return payload, "\n".join(lines), 0
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_fuel_option
-@_monoid_option
-@_phase_option
-@_json_option
-def profile(path, fuel, monoid, phase, as_json):
+@_file_command()
+def profile(t, model, fuel):
     """Total cost of running PATH (a unit-returner) to completion."""
-    t, fuel, model = _load_run(path, fuel, monoid, phase)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     res = mc.settle(t, fuel, model)[0]
-    if as_json:
-        _emit(_status(res, model, fuel=fuel))
-    elif isinstance(res, Defined):
-        click.echo(f"defined, cost {model.show(res.cost)}")
+    if isinstance(res, Defined):
+        text = f"defined, cost {model.show(res.cost)}"
     else:
-        click.echo("diverges" if res is DIVERGES else f"exhausted at fuel {fuel}")
-    return 0
+        text = "diverges" if res is DIVERGES else f"exhausted at fuel {fuel}"
+    return _status(res, model, fuel=fuel), text, 0
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_fuel_option
-@_monoid_option
-@_phase_option
-@_json_option
-def denote(path, fuel, monoid, phase, as_json):
+@_file_command()
+def denote(t, model, fuel):
     """Observe the denotation of PATH (a returner) at the given fuel."""
-    t, fuel, model = _load_run(path, fuel, monoid, phase)
     if not isinstance(program_type(t, model.monoid), sx.F):
         raise TypeCheckError("denote requires a returner (F) program")
     obs = dn.observe(dn.denote_closed(t, model).to_delay(), fuel, model)
     payload = _status(obs, model, cost=None, value=None)
-    if isinstance(obs, Defined):
-        payload["value"] = dn.ground_json(obs.value)
-    if as_json:
-        _emit(payload)
-    elif not isinstance(obs, Defined):
-        click.echo(payload["status"])
-    else:
-        # A thunk has no ground value to show.
-        value = "" if payload["value"] is None else f", value {payload['value']}"
-        click.echo(f"defined, cost {model.show(obs.cost)}{value}")
-    return 0
+    if not isinstance(obs, Defined):
+        return payload, payload["status"], 0
+    payload["value"] = dn.ground_json(obs.value)
+    # A thunk has no ground value to show.
+    value = "" if payload["value"] is None else f", value {payload['value']}"
+    return payload, f"defined, cost {model.show(obs.cost)}{value}", 0
 
 
-@cli.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_fuel_option
-@_monoid_option
-@_phase_option
-@_json_option
-def adequacy(path, fuel, monoid, phase, as_json):
+@_file_command()
+def adequacy(t, model, fuel):
     """Check that machine profile and denotation agree on PATH."""
-    t, fuel, model = _load_run(path, fuel, monoid, phase)
     check_program(t, sx.F(sx.UNIT), monoid=model.monoid)
     verdict, m, d = adequacy_verdict(t, fuel, model)
-    agree = verdict is None
-    payload = {"agree": agree, "machine": _status(m, model, fuel=fuel),
+    payload = {"agree": verdict is None, "machine": _status(m, model, fuel=fuel),
                "denotation": _status(d, model)}
-    if not agree:
-        payload["detail"] = verdict
-    if as_json:
-        _emit(payload)
-    else:
-        click.echo("agree" if agree else f"DISAGREE: {verdict}")
-    return 0 if agree else 2
+    if verdict is None:
+        return payload, "agree", 0
+    payload["detail"] = verdict
+    return payload, f"DISAGREE: {verdict}", 2
 
 
 @cli.command()

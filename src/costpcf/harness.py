@@ -702,29 +702,30 @@ def run_suite(name, seed, fuel, model: CostModel = DEFAULT_MODEL, cases=None):
     Every machine run of a named suite, its generators' filter runs
     included, shares one substitution memo (`mc.sharing`): the suite's runs
     redo each other's substitutions.  Each suite gets a fresh one, so its
-    reports are the same whichever suites ran before it."""
-    if name == "all":
-        rng = random.Random(seed)
-        reports = []
-        for suite in SUITES:
-            reports.extend(run_suite(suite, rng.randrange(2**62), fuel, model, cases))
-        return reports
-    with mc.sharing():
-        return _run_named_suite(name, seed, fuel, model, cases)
+    reports are the same whichever suites ran before it.  The corpus is
+    parsed at most once per call, when a suite first reads it."""
+    rng = random.Random(seed)
+    runs = [(s, rng.randrange(2**62)) for s in SUITES] if name == "all" else [(name, seed)]
+    corpus = functools.cache(load_corpus)
+    reports = []
+    for suite, suite_seed in runs:
+        with mc.sharing():
+            reports += _run_named_suite(suite, suite_seed, fuel, model, cases, corpus)
+    return reports
 
 
-def _run_named_suite(name, seed, fuel, model, cases):
+def _run_named_suite(name, seed, fuel, model, cases, corpus):
     n = cases if cases is not None else _DEFAULT_CASES.get(name)
     if name == "laws":
         return [check_laws(seed, n, min(fuel, 10_000), model)]
     if name == "soundness":
-        programs = list(load_corpus())
+        programs = list(corpus())
         gen = gen_programs(seed, n, _GROUND_F, terminating_frac=0.7,
                            monoid=model.monoid, depth_range=(2, 5))
         programs += [(f"gen[{i}]", t) for i, (t, _) in enumerate(gen)]
         return [check_soundness(programs, fuel, model)]
     if name == "adequacy":
-        programs = [(nm, t) for nm, t in load_corpus()
+        programs = [(nm, t) for nm, t in corpus()
                     if _ground_f_type(t, model) == sx.F(sx.UNIT)]
         gen = gen_programs(seed, n, (sx.F(sx.UNIT),), terminating_frac=0.6,
                            monoid=model.monoid, depth_range=(2, 6))

@@ -18,6 +18,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 
 import pytest
 
+import costpcf.denote as dn
 import costpcf.harness as hz
 import costpcf.machine as mc
 import costpcf.syntax as sx
@@ -283,6 +284,16 @@ def test_step_summary_and_trace(capsys, pcf):
     ]
 
 
+def test_step_trace_pretty_prints_one_line_per_transition(capsys, pcf):
+    """The summary line, then `  <cost>  <term>` for each transition."""
+    rc, out, _ = run_main(capsys, "step", pcf("(step 2 (step 3 (ret triv)))"),
+                          "--trace", "--pretty")
+    assert rc == 0
+    assert out == ("terminal after 2 steps, total cost 5\n"
+                   "  2  (step 3 (ret triv))\n"
+                   "  3  (ret triv)\n")
+
+
 def test_step_truncation(capsys, pcf):
     rc, out, _ = run_main(capsys, "step", pcf("(fix x x)"), "--fuel", "4")
     assert rc == 0
@@ -320,6 +331,22 @@ def test_adequacy_reports_the_runs_it_decided_on(capsys, pcf):
         "machine": {"status": "defined", "cost": 1},
         "denotation": {"status": "defined", "cost": 1},
     }
+
+
+def test_adequacy_command_exits_2_on_a_planted_disagreement(capsys, pcf, monkeypatch):
+    """A denotation that drops every charge disagrees with the machine."""
+    monkeypatch.setattr(dn, "charge", lambda c, d, model: d)
+    path = pcf("(step 2 (ret triv))")
+    rc, out, _ = run_main(capsys, "adequacy", path)
+    assert rc == 2
+    assert json.loads(out) == {
+        "agree": False,
+        "machine": {"status": "defined", "cost": 2},
+        "denotation": {"status": "defined", "cost": 0},
+        "detail": "costs differ: 2 vs 0",
+    }
+    assert run_main(capsys, "adequacy", path, "--pretty")[:2] == (
+        2, "DISAGREE: costs differ: 2 vs 0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +498,19 @@ def test_fuel_validation(capsys, pcf):
     assert rc == 1
     rc, _, err = run_main(capsys, "profile", path, "--fuel", "-3")
     assert rc == 1
+
+
+def test_front_door_errors_come_in_order_fuel_monoid_parse(capsys, pcf):
+    """A running command checks --fuel, then --monoid, then parses PATH."""
+    path = pcf("(bind (ret zero) x")
+    rc, out, err = run_main(capsys, "profile", path, "--fuel", "0", "--monoid", "weird")
+    assert (rc, out, err) == (1, "", "error: fuel must be >= 1\n")
+    rc, out, err = run_main(capsys, "profile", path, "--monoid", "weird")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "weird" in err
+    rc, out, err = run_main(capsys, "profile", path)
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["error"] == "parse"
 
 
 # Each integer option, with the rest of a command line that takes it.  The

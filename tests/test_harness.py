@@ -349,6 +349,23 @@ def test_each_suite_answers_the_same_alone_and_after_all(monkeypatch):
     assert alone() == first
 
 
+def test_check_all_parses_the_corpus_once(monkeypatch, capsys):
+    """Soundness and adequacy read one parse of the corpus per run."""
+    calls = []
+    real = hz.load_corpus
+
+    def load_corpus():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(hz, "load_corpus", load_corpus)
+    assert main(["check", "all", "--seed", "1"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    run_suite("adequacy", 1, 5000, cases=2)
+    assert len(calls) == 1
+
+
 def test_run_suite_all_covers_every_suite():
     reports = run_suite("all", seed=2, fuel=30_000, cases=8)
     assert [r.name for r in reports] == list(SUITES)
