@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 user error (bad flags, unreadable, non-UTF-8 or
 ill-typed input, input nested too deep for the Python stack), 2 check/adequacy
 failure, 3 internal error.  All machine-facing output is single-line compact
 JSON so repeated runs are byte-comparable; --pretty switches the single-file
-commands to a short human-readable line.
+commands to short human-readable text.
 
 The five file commands (`typecheck`, `step`, `profile`, `denote`,
 `adequacy`) are registered by `_file_command`.  It declares PATH and the
